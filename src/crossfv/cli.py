@@ -21,12 +21,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="path to the JSON experiment config")
     sub.add_argument("--out", default=None, help="output directory (overrides config)")
     sub.add_argument("--threads", type=int, default=None, help="ladder-entry parallelism")
-    sub.add_argument(
-        "--fast-conv",
-        choices=("on", "off", "auto"),
-        default=None,
-        help="FFT convolution path selection",
-    )
 
 
 _MODE_BY_COMMAND = {
@@ -56,8 +50,6 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         if args.threads is not None:
             overrides["threads"] = args.threads
-        if args.fast_conv is not None:
-            overrides["fast_conv"] = args.fast_conv
         if args.command in _MODE_BY_COMMAND:
             overrides["mode"] = _MODE_BY_COMMAND[args.command]
         if overrides:

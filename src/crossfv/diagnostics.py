@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import UsageError
-from .kernels import DiscreteKernel, potential_implicit, potential_midpoint
+from .kernels import DiscreteKernel, potential_implicit
 from .weights import eval_B_kappa
 
 if TYPE_CHECKING:
@@ -107,16 +107,6 @@ def productions(state: "State", p: np.ndarray, cfg: "SchemeConfig") -> Productio
     return ProductionTerms(p_b=p_b, p_r=p_r, cross=cross, fisher=fisher)
 
 
-def coupling_potential(
-    kernel: DiscreteKernel, curr: np.ndarray, prev: np.ndarray, cfg: "SchemeConfig"
-) -> np.ndarray:
-    from .scheme import Coupling
-
-    if cfg.coupling is Coupling.IMPLICIT:
-        return potential_implicit(kernel, curr)
-    return potential_midpoint(kernel, curr, prev)
-
-
 def tolerance_scale(cfg: "SchemeConfig", h_b: float, h_r: float) -> float:
     """First-order propagation of solver truncation into entropy differences."""
     base = cfg.picard_tol / cfg.dt + cfg.linear.rel_tol
@@ -137,11 +127,11 @@ def verify_step(
     The Rao check is only gating for mid-point coupling or a positively
     verified kernel; the other two hold for every built-in weight.
     """
-    from .scheme import Coupling
+    from .scheme import Coupling, coupling_potential
 
     if np.any(prev.u <= 0) or np.any(curr.u <= 0):
         raise UsageError("verification requires strictly positive states")
-    p = coupling_potential(kernel, curr.u, prev.u, cfg)
+    p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
     terms = productions(curr, p, cfg)
     h_b_prev = entropy_boltzmann(prev)
     h_b_curr = entropy_boltzmann(curr)
@@ -190,7 +180,9 @@ def build_report(
         min_density=float(curr.u.min()),
     )
     if full:
-        p = coupling_potential(kernel, curr.u, prev.u, cfg)
+        from .scheme import coupling_potential
+
+        p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
         terms = productions(curr, p, cfg)
         report.h_boltzmann = entropy_boltzmann(curr)
         report.h_rao = entropy_rao(curr, kernel)

@@ -67,14 +67,11 @@ class ExperimentConfig:
     snapshot_times: list = dataclasses.field(default_factory=list)
     diagnostics_every: int = 1
     out_dir: str | None = None
-    fast_conv: str = "auto"
     threads: int = 1
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
-        if self.fast_conv not in ("on", "off", "auto"):
-            raise ConfigurationError("fast_conv must be on/off/auto")
         if len(self.initial) != self.kernel.n_species:
             raise ConfigurationError(
                 "need exactly one initial datum per species "
@@ -138,7 +135,6 @@ def parse_config(source) -> ExperimentConfig:
             snapshot_times=list(raw.get("snapshot_times", [])),
             diagnostics_every=int(raw.get("diagnostics_every", 1)),
             out_dir=raw.get("out_dir"),
-            fast_conv=str(raw.get("fast_conv", "auto")),
             threads=int(raw.get("threads", 1)),
         )
     except KeyError as exc:
@@ -311,7 +307,6 @@ def _build_problem(cfg: ExperimentConfig, cells=None, dt=None):
         )
     mesh = build_mesh(mesh_spec)
     kernel = discretize(cfg.kernel, mesh)
-    kernel.set_fast_mode(cfg.fast_conv)
     scheme_cfg = cfg.scheme if dt is None else dataclasses.replace(cfg.scheme, dt=dt)
     u0 = np.stack([project_initial(d, mesh) for d in cfg.initial])
     # Positivity floor: indicator data projects to exact zeros outside its

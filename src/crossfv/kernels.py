@@ -3,22 +3,21 @@
 The discrete kernel stores one offset table per species pair: on the torus
 (periodic extension) tables are circulant and indexed by the cell offset
 modulo M; for whole-space kernels the raw center difference matters, so the
-table covers signed offsets (Toeplitz structure). Both admit an exact FFT
-convolution path when all cell counts are powers of two.
+table covers signed offsets (Toeplitz structure). Convolution is FFT on
+every grid: circulant on the torus, zero-padded 2M circulant embedding for
+whole-space tables; both are exact to round-off for any cell count.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .mesh import Mesh
-
-logger = logging.getLogger(__name__)
 
 _DENSE_PSD_LIMIT = 8192
 
@@ -131,8 +130,6 @@ class DiscreteKernel:
     mesh: Mesh
     spec: KernelSpec
     tables: np.ndarray  # (n, n, *table_shape)
-    fast_mode: str = "auto"  # 'on' | 'off' | 'auto'
-    _spectra: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_species(self) -> int:
@@ -156,46 +153,12 @@ class DiscreteKernel:
             delta = tuple((k - jj) + (m - 1))
         return float(self.tables[(i, j) + delta])
 
-    def set_fast_mode(self, mode: str) -> None:
-        if mode not in ("on", "off", "auto"):
-            raise UsageError(f"fast-conv mode must be on/off/auto, got {mode}")
-        self.fast_mode = mode
-
-    def fast_available(self) -> bool:
-        return all(_is_pow2(m) for m in self.mesh.shape)
-
-    def _use_fast(self) -> bool:
-        if self.fast_mode == "off":
-            return False
-        if self.fast_available():
-            return True
-        if self.fast_mode == "on":
-            logger.info(
-                "fast convolution requested but cell counts %s are not all powers "
-                "of two; falling back to the direct sum",
-                self.mesh.shape,
-            )
-        return False
-
-    def _pair_spectra(self) -> np.ndarray:
-        """rfftn of each pair's (possibly circulant-embedded) table."""
-        if self._spectra is None:
-            n = self.n_species
-            if self.extension is Extension.PERIODIC_WRAP:
-                first = np.fft.rfftn(self.tables[0, 0])
-            else:
-                first = np.fft.rfftn(_embed_circulant(self.tables[0, 0], self.mesh.shape))
-            spectra = np.empty((n, n) + first.shape, dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    if self.extension is Extension.PERIODIC_WRAP:
-                        spectra[i, j] = np.fft.rfftn(self.tables[i, j])
-                    else:
-                        spectra[i, j] = np.fft.rfftn(
-                            _embed_circulant(self.tables[i, j], self.mesh.shape)
-                        )
-            object.__setattr__(self, "_spectra", spectra)
-        return self._spectra
+    @functools.cached_property
+    def _spectra(self) -> np.ndarray:
+        """rfftn of each pair's table as a circulant on the FFT grid."""
+        return np.array(
+            [[_spectrum(w, self.mesh.shape, self.extension) for w in row] for row in self.tables]
+        )
 
     def potentials(self, fields: np.ndarray) -> np.ndarray:
         """p_i = sum_j m(J) * (w_ij convolved with fields_j)."""
@@ -205,36 +168,7 @@ class DiscreteKernel:
                 f"fields shape {fields.shape} does not match "
                 f"{(self.n_species,) + self.mesh.shape}"
             )
-        n = self.n_species
-        shape = self.mesh.shape
-        axes = tuple(range(self.mesh.dim))
-        m_cell = self.mesh.cell_measure
-        out = np.zeros_like(fields)
-        if self._use_fast():
-            spectra = self._pair_spectra()
-            if self.extension is Extension.PERIODIC_WRAP:
-                f_hat = np.stack([np.fft.rfftn(fields[j]) for j in range(n)])
-                for i in range(n):
-                    acc = np.zeros_like(f_hat[0])
-                    for j in range(n):
-                        acc += spectra[i, j] * f_hat[j]
-                    out[i] = m_cell * np.fft.irfftn(acc, s=shape, axes=axes)
-            else:
-                pad = tuple(2 * m for m in shape)
-                f_hat = np.stack([np.fft.rfftn(fields[j], s=pad, axes=axes) for j in range(n)])
-                crop = tuple(slice(0, m) for m in shape)
-                for i in range(n):
-                    acc = np.zeros_like(f_hat[0])
-                    for j in range(n):
-                        acc += spectra[i, j] * f_hat[j]
-                    out[i] = m_cell * np.fft.irfftn(acc, s=pad, axes=axes)[crop]
-        else:
-            for i in range(n):
-                for j in range(n):
-                    out[i] += convolve(
-                        self.tables[i, j], fields[j], self.mesh, self.extension, mode="direct"
-                    )
-        return out
+        return self.mesh.cell_measure * _fft_apply(self._spectra, fields, self.extension)
 
 
 def discretize(spec: KernelSpec, mesh: Mesh) -> DiscreteKernel:
@@ -350,10 +284,6 @@ def _tophat_axis_average(c: float, radius: float, dx: float) -> float:
     return (tent_antideriv(hi) - tent_antideriv(lo)) / (dx * dx)
 
 
-def _is_pow2(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 def _embed_circulant(w: np.ndarray, shape: tuple) -> np.ndarray:
     """Embed a signed-offset (Toeplitz) table into a 2M circulant table."""
     pad = tuple(2 * m for m in shape)
@@ -362,19 +292,42 @@ def _embed_circulant(w: np.ndarray, shape: tuple) -> np.ndarray:
     return np.roll(c, shift=tuple(-(m - 1) for m in shape), axis=tuple(range(len(shape))))
 
 
+def _spectrum(w: np.ndarray, shape: tuple, extension: Extension) -> np.ndarray:
+    """rfftn of an offset table as a circulant on the FFT grid."""
+    if extension is Extension.WHOLE_SPACE:
+        w = _embed_circulant(w, shape)
+    return np.fft.rfftn(w)
+
+
+def _fft_apply(spectra: np.ndarray, fields: np.ndarray, extension: Extension) -> np.ndarray:
+    """g_i = sum_j w_ij * f_j without the cell measure.
+
+    ``spectra`` is (n_out, n_in, *rfft shape) from ``_spectrum`` and
+    ``fields`` is (n_in, *mesh shape). The FFT grid is the mesh on the
+    torus and its zero-padded 2M embedding for whole-space tables, whose
+    result is cropped back to the mesh.
+    """
+    shape = fields.shape[1:]
+    grid = shape if extension is Extension.PERIODIC_WRAP else tuple(2 * m for m in shape)
+    axes = tuple(range(len(shape)))
+    crop = tuple(slice(0, m) for m in shape)
+    f_hat = np.stack([np.fft.rfftn(f, s=grid, axes=axes) for f in fields])
+    out = np.empty((len(spectra),) + shape)
+    for i, row in enumerate(spectra):
+        out[i] = np.fft.irfftn((row * f_hat).sum(axis=0), s=grid, axes=axes)[crop]
+    return out
+
+
 def convolve(
     w: np.ndarray,
     f: np.ndarray,
     mesh: Mesh,
     extension: Extension = Extension.PERIODIC_WRAP,
-    mode: str = "auto",
 ) -> np.ndarray:
-    """g_K = sum_J m(J) * w[K - J] * f_J with selectable backend.
+    """g_K = sum_J m(J) * w[K - J] * f_J by FFT on any cell count.
 
-    'fast' uses the exact FFT path (circulant on the torus, zero-padded
-    circulant embedding for signed-offset tables); 'direct' is the
-    reference double sum. 'auto' takes the fast path when every cell count
-    is a power of two, otherwise falls back to direct with a notice.
+    Circulant on the torus; signed-offset (whole-space) tables are embedded
+    in a zero-padded 2M circulant and the result is cropped to the mesh.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != mesh.shape:
@@ -382,58 +335,8 @@ def convolve(
     extension = Extension(extension)
     if w.shape != _table_shape(mesh, extension):
         raise UsageError(f"offset table shape {w.shape} unexpected for {extension}")
-    if mode not in ("auto", "fast", "direct"):
-        raise UsageError(f"unknown convolution mode {mode}")
-    use_fast = False
-    if mode in ("fast", "auto"):
-        if all(_is_pow2(m) for m in mesh.shape):
-            use_fast = True
-        elif mode == "fast":
-            logger.info(
-                "fast convolution requested but cell counts %s are not all powers "
-                "of two; falling back to the direct sum",
-                mesh.shape,
-            )
-    m_cell = mesh.cell_measure
-    axes = tuple(range(mesh.dim))
-    if extension is Extension.PERIODIC_WRAP:
-        if use_fast:
-            return m_cell * np.fft.irfftn(np.fft.rfftn(w) * np.fft.rfftn(f), s=mesh.shape, axes=axes)
-        return m_cell * _direct_circular(w, f)
-    if use_fast:
-        pad = tuple(2 * m for m in mesh.shape)
-        c = _embed_circulant(w, mesh.shape)
-        g = np.fft.irfftn(np.fft.rfftn(c) * np.fft.rfftn(f, s=pad, axes=axes), s=pad, axes=axes)
-        return m_cell * g[tuple(slice(0, m) for m in mesh.shape)]
-    return m_cell * _direct_linear(w, f)
-
-
-def _direct_circular(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(f)
-    axes = tuple(range(f.ndim))
-    for delta in np.ndindex(w.shape):
-        g += w[delta] * np.roll(f, shift=delta, axis=axes)
-    return g
-
-
-def _direct_linear(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    shape = f.shape
-    g = np.zeros_like(f)
-    for off in np.ndindex(w.shape):
-        wv = w[off]
-        if wv == 0.0:
-            continue
-        src, dst = [], []
-        for axis, o in enumerate(off):
-            delta = o - (shape[axis] - 1)
-            if delta >= 0:
-                dst.append(slice(delta, shape[axis]))
-                src.append(slice(0, shape[axis] - delta))
-            else:
-                dst.append(slice(0, shape[axis] + delta))
-                src.append(slice(-delta, shape[axis]))
-        g[tuple(dst)] += wv * f[tuple(src)]
-    return g
+    spectrum = _spectrum(w, mesh.shape, extension)
+    return mesh.cell_measure * _fft_apply(spectrum[None, None], f[None], extension)[0]
 
 
 def potential_implicit(kernel: DiscreteKernel, fields: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linsolve
-from .errors import ConfigurationError, NumericalStateError, StepFailure, UsageError
+from .errors import ConfigurationError, NumericalStateError, SolverFailure, StepFailure, UsageError
 from .kernels import DiscreteKernel, potential_implicit, potential_midpoint
 from .mesh import EdgeId, Mesh, edge_cells
 from .weights import WeightKind, eval_B_kappa
@@ -60,6 +60,10 @@ class SchemeConfig:
             raise ConfigurationError(f"diffusion coefficient must be positive, got {self.kappa}")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigurationError("time step and end time must be positive")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ConfigurationError(
+                f"time step {self.dt} does not divide end time {self.t_end}"
+            )
         if self.picard_tol <= 0 or self.picard_max_iter < 1:
             raise ConfigurationError("Picard tolerances must be positive")
 
@@ -275,12 +279,13 @@ def solve_linear(
     return x.reshape(system.mesh.shape), info
 
 
-def _coupling_potential(
-    kernel: DiscreteKernel, u_iter: np.ndarray, u_prev: np.ndarray, coupling: Coupling
+def coupling_potential(
+    kernel: DiscreteKernel, curr: np.ndarray, prev: np.ndarray, coupling: Coupling
 ) -> np.ndarray:
+    """Potential at curr (implicit) or at the mean of curr and prev (mid-point)."""
     if coupling is Coupling.IMPLICIT:
-        return potential_implicit(kernel, u_iter)
-    return potential_midpoint(kernel, u_iter, u_prev)
+        return potential_implicit(kernel, curr)
+    return potential_midpoint(kernel, curr, prev)
 
 
 def advance(
@@ -310,7 +315,7 @@ def advance(
     clamped = 0
     converged = False
     for _ in range(cfg.picard_max_iter):
-        p = _coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
+        p = coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
         u_new = np.empty_like(u_iter)
         for i in range(n):
             system = assemble(u_prev[i], p[i], cfg, mesh)
@@ -331,7 +336,7 @@ def advance(
             error_history=errors,
         )
     new_state = State(k=state.k + 1, u=u_iter, mesh=mesh, p=None)
-    new_state.p = _coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
+    new_state.p = coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
     report = diagnostics.build_report(
         prev=state,
         curr=new_state,
@@ -382,6 +387,8 @@ def run(
                 f"step {k}/{n_steps} failed: {exc}", step_index=k,
                 error_history=exc.error_history,
             ) from exc
+        except SolverFailure as exc:
+            raise StepFailure(f"step {k}/{n_steps} failed: {exc}", step_index=k) from exc
         drift = float(np.max(np.abs(state.masses() - masses0) / mass_scale))
         max_drift = max(max_drift, drift)
         min_density = min(min_density, float(state.u.min()))

@@ -3,12 +3,15 @@ import json
 import mpmath
 import numpy as np
 import pytest
+from oracles import direct_potentials
 
 from crossfv import (
     BoxIC,
     ConfigurationError,
     ConstantIC,
+    DiscreteKernel,
     MeshSpec,
+    StepFailure,
     TrigIC,
     UsageError,
     build_mesh,
@@ -312,16 +315,25 @@ def test_threaded_ladder_matches_serial(tmp_path):
     assert np.array_equal(serial.error_table.linf, threaded.error_table.linf)
 
 
-def test_fast_conv_off_matches_auto(tmp_path):
-    import dataclasses
+def test_fft_run_matches_direct_oracle(tmp_path, monkeypatch):
+    # 24 cells is not a power of two; the run with the potentials swapped
+    # for the direct double sum must end in the same state.
+    cfg = parse_config(tiny_config(tmp_path, mesh={"extents": [[0.0, 1.0]], "cells": [24]}))
+    fast = run_experiment(cfg).run_summary.final_state.u
+    monkeypatch.setattr(DiscreteKernel, "potentials", direct_potentials)
+    direct = run_experiment(cfg).run_summary.final_state.u
+    gap = np.max(np.abs(fast - direct))
+    assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(fast))))
 
-    base = parse_config(tiny_config(tmp_path))
-    fast = run_experiment(base)
-    direct = run_experiment(dataclasses.replace(base, fast_conv="off"))
-    gap = np.max(
-        np.abs(fast.run_summary.final_state.u - direct.run_summary.final_state.u)
-    )
-    assert gap <= 1e-12 * max(1.0, float(np.max(np.abs(fast.run_summary.final_state.u))))
+
+def test_dt_must_divide_t_end(tmp_path, capsys):
+    ok = parse_config(tiny_config(tmp_path, scheme={"kappa": 0.05, "dt": 0.02, "t_end": 0.1}))
+    assert ok.scheme.n_steps == 5
+    path = tiny_config(tmp_path, scheme={"kappa": 0.05, "dt": 0.03, "t_end": 0.1})
+    with pytest.raises(ConfigurationError, match="does not divide"):
+        parse_config(path)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "does not divide end time" in capsys.readouterr().err
 
 
 def test_error_table_csv_layout(tmp_path):
@@ -378,6 +390,29 @@ def test_cli_step_failure_exit_code(tmp_path, capsys):
     assert code == 3
     summary = json.loads((tmp_path / "fail_out" / "summary.json").read_text())
     assert summary["failed_step"] == 1
+
+
+def test_solver_failure_reports_failed_step(tmp_path):
+    import dataclasses
+
+    path = tiny_config(
+        tmp_path,
+        scheme={
+            "kappa": 0.05,
+            "dt": 0.01,
+            "t_end": 0.05,
+            "linear_solver": {"max_iter": 1, "rel_tol": 1e-30},
+        },
+    )
+    cfg = dataclasses.replace(parse_config(path), out_dir=str(tmp_path / "api_out"))
+    with pytest.raises(StepFailure) as excinfo:
+        run_experiment(cfg)
+    assert excinfo.value.step_index == 1
+    summary = json.loads((tmp_path / "api_out" / "summary.json").read_text())
+    assert summary["failed_step"] == 1
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "cli_out")])
+    assert code == 3
+    assert json.loads((tmp_path / "cli_out" / "summary.json").read_text())["failed_step"] == 1
 
 
 def test_cli_check_kernel(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import direct_convolve
 from scipy.special import erf
 
 from crossfv import (
@@ -24,7 +25,9 @@ RNG = np.random.default_rng(1234)
 
 
 def unit_mesh(m, d=1):
-    return build_mesh(MeshSpec(extents=((0.0, 1.0),) * d, cells_per_axis=(m,) * d))
+    """Unit cube mesh with m cells per axis, or the cell counts m as a tuple."""
+    cells = m if isinstance(m, tuple) else (m,) * d
+    return build_mesh(MeshSpec(extents=((0.0, 1.0),) * d, cells_per_axis=cells))
 
 
 def single_species(shape, strength=1.0, extension=Extension.PERIODIC_WRAP, q=4):
@@ -168,8 +171,7 @@ def test_identity_convolution():
     w = np.zeros(8)
     w[0] = 1.0 / mesh.cell_measure
     f = RNG.normal(size=8)
-    for mode in ("fast", "direct"):
-        g = convolve(w, f, mesh, mode=mode)
+    for g in (convolve(w, f, mesh), direct_convolve(w, f, mesh)):
         assert np.allclose(g, f, rtol=0, atol=1e-13)
 
 
@@ -177,40 +179,34 @@ def test_constant_field_row_sum():
     mesh = unit_mesh(8)
     w = RNG.normal(size=8)
     f = np.ones(8)
-    g = convolve(w, f, mesh, mode="direct")
-    assert np.allclose(g, mesh.cell_measure * w.sum(), rtol=1e-13)
+    for g in (convolve(w, f, mesh), direct_convolve(w, f, mesh)):
+        assert np.allclose(g, mesh.cell_measure * w.sum(), rtol=1e-13)
 
 
-@pytest.mark.parametrize("m,d", [(8, 1), (64, 1), (8, 2), (16, 2)])
+# Grids that are not powers of two (6, 500, 12 x 10) use the same FFT path.
+NON_POW2 = [(6, 1), (500, 1), pytest.param((12, 10), 2, id="12x10-2")]
+
+
+@pytest.mark.parametrize("m,d", [(8, 1), (64, 1), (8, 2), (16, 2)] + NON_POW2)
 def test_fast_matches_direct_circular(m, d):
     mesh = unit_mesh(m, d=d)
     w = RNG.normal(size=mesh.shape)
     f = RNG.normal(size=mesh.shape)
-    fast = convolve(w, f, mesh, mode="fast")
-    direct = convolve(w, f, mesh, mode="direct")
+    fast = convolve(w, f, mesh)
+    direct = direct_convolve(w, f, mesh)
     scale = np.max(np.abs(direct))
-    assert np.max(np.abs(fast - direct)) <= 1e-12 * max(scale, 1.0)
+    assert np.max(np.abs(fast - direct)) <= 1e-14 * max(scale, 1.0)
 
 
-@pytest.mark.parametrize("m,d", [(8, 1), (32, 1), (8, 2)])
+@pytest.mark.parametrize("m,d", [(8, 1), (32, 1), (8, 2)] + NON_POW2)
 def test_fast_matches_direct_linear(m, d):
     mesh = unit_mesh(m, d=d)
     w = RNG.normal(size=tuple(2 * s - 1 for s in mesh.shape))
     f = RNG.normal(size=mesh.shape)
-    fast = convolve(w, f, mesh, extension=Extension.WHOLE_SPACE, mode="fast")
-    direct = convolve(w, f, mesh, extension=Extension.WHOLE_SPACE, mode="direct")
+    fast = convolve(w, f, mesh, extension=Extension.WHOLE_SPACE)
+    direct = direct_convolve(w, f, mesh, extension=Extension.WHOLE_SPACE)
     scale = max(float(np.max(np.abs(direct))), 1.0)
-    assert np.max(np.abs(fast - direct)) <= 1e-12 * scale
-
-
-def test_non_power_of_two_falls_back_with_notice(caplog):
-    mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(6,)))
-    w = RNG.normal(size=6)
-    f = RNG.normal(size=6)
-    with caplog.at_level("INFO", logger="crossfv.kernels"):
-        g = convolve(w, f, mesh, mode="fast")
-    assert "falling back" in caplog.text
-    assert np.allclose(g, convolve(w, f, mesh, mode="direct"), rtol=0, atol=1e-14)
+    assert np.max(np.abs(fast - direct)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
