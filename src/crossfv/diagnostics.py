@@ -127,16 +127,28 @@ def verify_step(
     The Rao check is only gating for mid-point coupling or a positively
     verified kernel; the other two hold for every built-in weight.
     """
-    from .scheme import Coupling, coupling_potential
+    from .scheme import coupling_potential
 
     if np.any(prev.u <= 0) or np.any(curr.u <= 0):
         raise UsageError("verification requires strictly positive states")
     p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
-    terms = productions(curr, p, cfg)
-    h_b_prev = entropy_boltzmann(prev)
-    h_b_curr = entropy_boltzmann(curr)
-    h_r_prev = entropy_rao(prev, kernel)
-    h_r_curr = entropy_rao(curr, kernel)
+    return _verdicts(
+        productions(curr, p, cfg),
+        (entropy_boltzmann(prev), entropy_rao(prev, kernel)),
+        (entropy_boltzmann(curr), entropy_rao(curr, kernel)),
+        cfg,
+        psd_ok,
+    )
+
+
+def _verdicts(
+    terms: ProductionTerms, prev_h: tuple, curr_h: tuple, cfg: "SchemeConfig", psd_ok
+) -> dict:
+    """The three verdicts from the step's productions and (H_B, H_R) pairs."""
+    from .scheme import Coupling
+
+    h_b_prev, h_r_prev = prev_h
+    h_b_curr, h_r_curr = curr_h
     tol = tolerance_scale(cfg, h_b_curr, h_r_curr)
     alpha = cfg.weight.alpha
     kappa = cfg.kappa
@@ -169,6 +181,12 @@ def build_report(
     psd_ok: bool | None,
     full: bool,
 ) -> StepReport:
+    """Step report; with `full`, entropies, productions and verdicts too.
+
+    A full report takes the coupling potential from `curr.p` (set by
+    `advance` from the same inputs) and evaluates each entropy once, so it
+    costs two convolutions: H_R of prev and of curr.
+    """
     report = StepReport(
         step=curr.k,
         time=curr.k * cfg.dt,
@@ -180,17 +198,15 @@ def build_report(
         min_density=float(curr.u.min()),
     )
     if full:
-        from .scheme import coupling_potential
-
-        p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
-        terms = productions(curr, p, cfg)
-        report.h_boltzmann = entropy_boltzmann(curr)
-        report.h_rao = entropy_rao(curr, kernel)
+        terms = productions(curr, curr.p, cfg)
+        prev_h = (entropy_boltzmann(prev), entropy_rao(prev, kernel))
+        curr_h = (entropy_boltzmann(curr), entropy_rao(curr, kernel))
+        report.h_boltzmann, report.h_rao = curr_h
         report.fisher = terms.fisher
         report.p_b = terms.p_b
         report.p_r = terms.p_r
         report.cross = terms.cross
-        report.verdicts = verify_step(prev, curr, kernel, cfg, psd_ok)
+        report.verdicts = _verdicts(terms, prev_h, curr_h, cfg, psd_ok)
     return report
 
 

@@ -31,9 +31,20 @@ class SolverFailure(CrossFVError):
 
 
 class StepFailure(CrossFVError):
-    """A time step did not converge (Picard budget exhausted or solve failed)."""
+    """A time step did not converge (Picard budget exhausted or solve failed).
 
-    def __init__(self, message: str, step_index: int | None = None, error_history=None):
+    Carries the Picard error history of the step and, when a linear solve
+    failed, that solve's residual history.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        step_index: int | None = None,
+        error_history=None,
+        residual_history=None,
+    ):
         super().__init__(message)
         self.step_index = step_index
         self.error_history = list(error_history or [])
+        self.residual_history = list(residual_history or [])

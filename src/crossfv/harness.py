@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ConfigurationError, CrossFVError, StepFailure, UsageError
-from .initial import parse_descriptor, project_initial
+from .initial import BoxIC, ConstantIC, TrigIC, parse_descriptor, project_initial
 from .kernels import (
     DiscreteKernel,
     Extension,
@@ -114,6 +114,12 @@ def parse_config(source) -> ExperimentConfig:
     else:
         raw = dict(source)
     try:
+        _reject_unknown(raw, _TOP_KEYS, "")
+        _reject_unknown(raw["mesh"], _MESH_KEYS, "mesh.")
+        for index, datum in enumerate(raw["initial"]):
+            fields = _DATUM_KEYS.get(dict(datum).get("type"))
+            if fields is not None:  # an unknown type is reported by parse_descriptor
+                _reject_unknown(datum, fields | {"type"}, f"initial[{index}].")
         mesh = MeshSpec(
             extents=tuple(tuple(e) for e in raw["mesh"]["extents"]),
             cells_per_axis=tuple(raw["mesh"]["cells"]),
@@ -143,14 +149,45 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
 
+_TOP_KEYS = {
+    "name", "description", "mesh", "kernel", "scheme", "initial", "mode",
+    "space_ladder", "reference_cells", "dt_ladder_divisors", "reference_dt_divisor",
+    "snapshot_times", "diagnostics_every", "out_dir", "threads",
+}
+_MESH_KEYS = {"extents", "cells"}
+_KERNEL_KEYS = {"shape", "strengths", "extension", "quadrature_order"}
+_SHAPE_KEYS = {"gaussian": {"eps"}, "top_hat": {"radius"}}
+_SCHEME_KEYS = {
+    "kappa", "dt", "dt_divisor", "t_end", "weight", "coupling",
+    "picard_tol", "picard_max_iter", "linear_solver",
+}
+_LINEAR_KEYS = {"rel_tol", "max_iter"}
+_DATUM_KEYS = {
+    kind: {f.name for f in dataclasses.fields(cls)}
+    for kind, cls in (("constant", ConstantIC), ("box", BoxIC), ("trig", TrigIC))
+}
+
+
+def _reject_unknown(raw: dict, allowed: set, prefix: str) -> None:
+    """Raise on keys outside `allowed`, so a misspelt key never runs as a default."""
+    if not isinstance(raw, dict):
+        section = prefix.rstrip(".") or "root"
+        raise ConfigurationError(f"config section {section!r} must be an object")
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        names = ", ".join(f"'{prefix}{key}'" for key in unknown)
+        raise ConfigurationError(f"unknown config key {names}")
+
+
 def _parse_kernel(raw: dict) -> KernelSpec:
     name = raw["shape"]
+    if name not in _SHAPE_KEYS:
+        raise ConfigurationError(f"unknown kernel shape {name!r}")
+    _reject_unknown(raw, _KERNEL_KEYS | _SHAPE_KEYS[name], "kernel.")
     if name == "gaussian":
         shape = Gaussian(eps=float(raw["eps"]))
-    elif name == "top_hat":
-        shape = TopHat(radius=float(raw["radius"]))
     else:
-        raise ConfigurationError(f"unknown kernel shape {name!r}")
+        shape = TopHat(radius=float(raw["radius"]))
     return KernelSpec(
         strengths=np.asarray(raw["strengths"], dtype=float),
         shapes=shape,
@@ -160,6 +197,7 @@ def _parse_kernel(raw: dict) -> KernelSpec:
 
 
 def _parse_scheme(raw: dict) -> SchemeConfig:
+    _reject_unknown(raw, _SCHEME_KEYS, "scheme.")
     t_end = float(raw["t_end"])
     if "dt" in raw:
         dt = float(raw["dt"])
@@ -168,8 +206,8 @@ def _parse_scheme(raw: dict) -> SchemeConfig:
     else:
         raise ConfigurationError("scheme needs dt or dt_divisor")
     lin_raw = raw.get("linear_solver", {})
+    _reject_unknown(lin_raw, _LINEAR_KEYS, "scheme.linear_solver.")
     linear = LinearSolverConfig(
-        method=lin_raw.get("method", "bicgstab"),
         rel_tol=float(lin_raw.get("rel_tol", 1e-12)),
         max_iter=int(lin_raw.get("max_iter", 10000)),
     )
@@ -459,6 +497,8 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
     except StepFailure as exc:
         summary["failed_step"] = exc.step_index
         summary["failure"] = str(exc)
+        summary["failure_picard_errors"] = exc.error_history
+        summary["failure_linear_residuals"] = exc.residual_history
         _write_summary(cfg.out_dir, summary, files)
         if writer is not None:
             writer.close()

@@ -31,13 +31,10 @@ class Coupling(str, enum.Enum):
 
 @dataclass
 class LinearSolverConfig:
-    method: str = "bicgstab"  # 'bicgstab' | 'gauss_seidel'
     rel_tol: float = 1e-12
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.method not in ("bicgstab", "gauss_seidel"):
-            raise ConfigurationError(f"unknown linear solver {self.method}")
         if self.rel_tol <= 0 or self.max_iter < 1:
             raise ConfigurationError("linear solver tolerances must be positive")
 
@@ -164,29 +161,26 @@ def scheme_residual(
 
 
 @functools.lru_cache(maxsize=32)
-def _stencil_structure(mesh: Mesh):
-    """Fixed CSR structure of the (2d+1)-point periodic stencil.
+def _csr_pattern(mesh: Mesh) -> tuple:
+    """Column indices and row pointers of the (2d+1)-point periodic stencil.
 
-    Returns (indices, indptr, order) where order gathers the per-slot data
-    layout (diag, +axis, -axis per axis; shape (n_slots, N)) into CSR order.
-    Falls back to None when wraparound makes stencil columns collide
-    (some axis has fewer than 3 cells), in which case COO assembly with
-    duplicate summation is used.
+    Row K lists K, then K+e and K-e for each axis, in the slot order of
+    `assemble`; columns are left unsorted. Both arrays are int32 so the
+    CSR constructor takes them without a copy, and read-only because every
+    assembled matrix shares them: scipy's in-place `sort_indices` and
+    `sum_duplicates` (called by `tolil` and `spsolve`) raise on them
+    instead of reordering the cached pattern. Copy the matrix first.
     """
-    if any(m < 3 for m in mesh.shape):
-        return None
-    n = mesh.n_cells
-    d = mesh.dim
-    idx = np.arange(n).reshape(mesh.shape)
-    cols = [idx.ravel()]
-    for axis in range(d):
-        cols.append(np.roll(idx, -1, axis=axis).ravel())
-        cols.append(np.roll(idx, 1, axis=axis).ravel())
-    cols = np.stack(cols, axis=0)  # (n_slots, N)
-    order = np.argsort(cols, axis=0, kind="stable")  # per-row slot order by column
-    indices = np.take_along_axis(cols, order, axis=0).T.ravel()
-    indptr = np.arange(n + 1) * (2 * d + 1)
-    return indices, indptr, order
+    idx = np.arange(mesh.n_cells, dtype=np.int32).reshape(mesh.shape)
+    cols = [idx]
+    for axis in range(mesh.dim):
+        cols += [np.roll(idx, -1, axis=axis), np.roll(idx, 1, axis=axis)]
+    width = 2 * mesh.dim + 1
+    indices = np.stack(cols, axis=-1).ravel()
+    indptr = np.arange(0, width * mesh.n_cells + 1, width, dtype=np.int32)
+    indices.setflags(write=False)
+    indptr.setflags(write=False)
+    return indices, indptr
 
 
 def assemble(u_prev_i: np.ndarray, p_i: np.ndarray, cfg: SchemeConfig, mesh: Mesh) -> LinearSystem:
@@ -194,7 +188,11 @@ def assemble(u_prev_i: np.ndarray, p_i: np.ndarray, cfg: SchemeConfig, mesh: Mes
 
     A has positive diagonal, nonpositive off-diagonal entries and exact
     column sums m(K)/dt, which is what makes the solve mass-conservative
-    and inverse-positive.
+    and inverse-positive. It is built straight from the stencil slots as
+    one CSR matrix with unsorted columns. On an axis of 2 cells K+e and
+    K-e are the same cell, so a row holds that column twice; CSR products,
+    `diagonal()`, `toarray()` and `sum()` all add duplicate entries, so
+    the matrix is still the right one.
     """
     u_prev_i = np.asarray(u_prev_i, dtype=float)
     p_i = np.asarray(p_i, dtype=float)
@@ -207,39 +205,21 @@ def assemble(u_prev_i: np.ndarray, p_i: np.ndarray, cfg: SchemeConfig, mesh: Mes
     if not np.all(np.isfinite(p_i)):
         raise NumericalStateError("potential must be finite")
 
-    n = mesh.n_cells
-    d = mesh.dim
     m_over_dt = mesh.cell_measure / cfg.dt
-
     diag = np.full(mesh.shape, m_over_dt)
-    slots = [None] * (2 * d + 1)
-    for axis in range(d):
+    slots = [diag]
+    for axis in range(mesh.dim):
         dp = axis_difference(p_i, axis)
         bk = eval_B_kappa(cfg.weight, cfg.kappa, np.abs(dp))
         tau = mesh.tau(axis)
         g_plus = tau * (bk + np.maximum(dp, 0.0))
         g_minus = tau * (bk + np.maximum(-dp, 0.0))
         diag += g_minus + np.roll(g_plus, 1, axis=axis)
-        slots[1 + 2 * axis] = -g_plus
-        slots[2 + 2 * axis] = -np.roll(g_minus, 1, axis=axis)
-    slots[0] = diag
+        slots += [-g_plus, -np.roll(g_minus, 1, axis=axis)]
 
-    data = np.stack([s.ravel() for s in slots], axis=0)  # (n_slots, N)
-    structure = _stencil_structure(mesh)
-    if structure is None:
-        idx = np.arange(n).reshape(mesh.shape)
-        cols = [idx.ravel()]
-        for axis in range(d):
-            cols.append(np.roll(idx, -1, axis=axis).ravel())
-            cols.append(np.roll(idx, 1, axis=axis).ravel())
-        rows = np.tile(np.arange(n), 2 * d + 1)
-        matrix = sp.coo_matrix(
-            (data.ravel(), (rows, np.concatenate(cols))), shape=(n, n)
-        ).tocsr()
-    else:
-        indices, indptr, order = structure
-        csr_data = np.take_along_axis(data, order, axis=0).T.ravel()
-        matrix = sp.csr_matrix((csr_data, indices, indptr), shape=(n, n))
+    indices, indptr = _csr_pattern(mesh)
+    data = np.stack(slots, axis=-1).ravel()
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(mesh.n_cells, mesh.n_cells))
     rhs = m_over_dt * u_prev_i.ravel()
     return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh)
 
@@ -252,25 +232,14 @@ def solve_linear(
     The exact solution is strictly positive (inverse-positive M-matrix);
     entries driven negative or to zero by roundoff within 1e-15 * max(u)
     are clamped to the smallest positive normal float and counted. Larger
-    undershoots trigger a positivity-preserving Jacobi polish.
+    undershoots trigger a positivity-preserving Jacobi polish, whose
+    iterates are nonnegative by construction.
     """
     target = cfg.linear.rel_tol * max(float(np.abs(system.rhs).max()), _TINY)
-    solver = linsolve.bicgstab if cfg.linear.method == "bicgstab" else linsolve.gauss_seidel
-    x, history = solver(system.matrix, system.rhs, x0, target, cfg.linear.max_iter)
-
-    scale = max(float(x.max()), _TINY)
-    window = 1e-15 * scale
-    if np.any(x < -window):
-        x, polish_hist = linsolve.jacobi_positive_polish(
-            system.matrix, system.rhs, x, target
-        )
+    x, history = linsolve.bicgstab(system.matrix, system.rhs, x0, target, cfg.linear.max_iter)
+    if np.any(x < -1e-15 * max(float(x.max()), _TINY)):
+        x, polish_hist = linsolve.jacobi_positive_polish(system.matrix, system.rhs, x, target)
         history = history + polish_hist
-        scale = max(float(x.max()), _TINY)
-        window = 1e-15 * scale
-        if np.any(x < -window):
-            raise NumericalStateError(
-                "linear solve produced negative densities beyond roundoff"
-            )
     nonpos = x <= 0.0
     clamped = int(np.count_nonzero(nonpos))
     if clamped:
@@ -301,7 +270,9 @@ def advance(
     coupling) or from its average with the previous time level (mid-point),
     solves the n decoupled linear systems and carries the new iterate
     forward; the step is accepted once consecutive iterates agree in the
-    max norm. Returns the new state and its step report.
+    max norm. Returns the new state and its step report. An exhausted
+    Picard budget or a failed linear solve raises StepFailure with the
+    Picard errors so far and the failed solve's residual history.
     """
     from . import diagnostics  # local import to keep module deps acyclic
 
@@ -319,7 +290,12 @@ def advance(
         u_new = np.empty_like(u_iter)
         for i in range(n):
             system = assemble(u_prev[i], p[i], cfg, mesh)
-            u_new[i], info = solve_linear(system, cfg, x0=u_iter[i].ravel())
+            try:
+                u_new[i], info = solve_linear(system, cfg, x0=u_iter[i].ravel())
+            except SolverFailure as exc:
+                raise StepFailure(
+                    str(exc), error_history=errors, residual_history=exc.residual_history
+                ) from exc
             residual = max(residual, info.residual)
             iterations += info.iterations
             clamped += info.clamped
@@ -385,10 +361,8 @@ def run(
         except StepFailure as exc:
             raise StepFailure(
                 f"step {k}/{n_steps} failed: {exc}", step_index=k,
-                error_history=exc.error_history,
+                error_history=exc.error_history, residual_history=exc.residual_history,
             ) from exc
-        except SolverFailure as exc:
-            raise StepFailure(f"step {k}/{n_steps} failed: {exc}", step_index=k) from exc
         drift = float(np.max(np.abs(state.masses() - masses0) / mass_scale))
         max_drift = max(max_drift, drift)
         min_density = min(min_density, float(state.u.min()))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crossfv import (
+    DiscreteKernel,
     Gaussian,
     KernelSpec,
     MeshSpec,
@@ -22,6 +23,7 @@ from crossfv import (
     verify_step,
 )
 from crossfv.diagnostics import (
+    build_report,
     report_csv_header,
     report_csv_row,
     tolerance_scale,
@@ -272,6 +274,35 @@ def test_rao_gating_rules():
     verdicts = verify_step(state, new_state, kernel, cfg_mid, psd_ok=None)
     assert verdicts["rao"].gated
     assert verdicts["boltzmann"].gated and verdicts["fisher"].gated
+
+
+@pytest.mark.parametrize("coupling", ["implicit", "midpoint"])
+def test_full_report_is_single_pass(coupling, monkeypatch):
+    # A full report convolves twice (H_R of prev and of curr) and its
+    # verdicts equal verify_step's on the same states.
+    mesh = unit_mesh(24)
+    spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shapes=Gaussian(eps=0.4))
+    kernel = discretize(spec, mesh)
+    cfg = cfg_for(mesh, coupling=coupling)
+    x = mesh.axis_coordinates(0)
+    u0 = np.stack([1.0 + 0.5 * np.sin(2 * np.pi * x), 1.0 + 0.3 * np.cos(2 * np.pi * x)])
+    state = State(k=0, u=u0, mesh=mesh)
+    new_state, _ = advance(state, kernel, cfg)
+    calls = []
+    potentials = DiscreteKernel.potentials
+
+    def counted(self, u):
+        calls.append(1)
+        return potentials(self, u)
+
+    monkeypatch.setattr(DiscreteKernel, "potentials", counted)
+    report = build_report(state, new_state, kernel, cfg, 3, [1.0, 0.1, 0.0], 0.0, 0, True, True)
+    assert len(calls) == 2
+    expected = verify_step(state, new_state, kernel, cfg, psd_ok=True)
+    assert {k: v.slack for k, v in report.verdicts.items()} == {
+        k: v.slack for k, v in expected.items()
+    }
+    assert report.h_rao == entropy_rao(new_state, kernel)
 
 
 # ---------------------------------------------------------------------------

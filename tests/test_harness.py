@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -27,6 +29,8 @@ from crossfv.cli import main as cli_main
 from crossfv.harness import ErrorTable
 
 RNG = np.random.default_rng(17)
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def mesh_1d(m=32, a=0.0, b=1.0):
@@ -236,6 +240,50 @@ def test_parse_config_missing_key(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "section,key,path",
+    [
+        (None, "snapshot_time", "snapshot_time"),
+        (None, "fast_conv", "fast_conv"),
+        ("scheme", "dt_divisr", "scheme.dt_divisr"),
+        ("mesh", "cell", "mesh.cell"),
+        ("kernel", "radius", "kernel.radius"),
+        ("linear_solver", "method", "scheme.linear_solver.method"),
+        ("initial", "amplitude", "initial[0].amplitude"),
+    ],
+)
+def test_parse_config_rejects_unknown_keys(tmp_path, capsys, section, key, path):
+    raw = json.loads(tiny_config(tmp_path).read_text())
+    target = {
+        None: raw,
+        "scheme": raw["scheme"],
+        "mesh": raw["mesh"],
+        "kernel": raw["kernel"],
+        "linear_solver": raw["scheme"].setdefault("linear_solver", {}),
+        "initial": raw["initial"][0],
+    }[section]
+    target[key] = 1
+    with pytest.raises(ConfigurationError, match=re.escape(f"'{path}'")):
+        parse_config(raw)
+    bad = tmp_path / "unknown.json"
+    bad.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_recipes_and_benchmark_configs_parse(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import N_VARIANTS, WORKLOADS, make_config
+
+    recipes = sorted(CONFIG_DIR.glob("*.json"))
+    assert len(recipes) == 10
+    for recipe in recipes:
+        parse_config(recipe)
+    for name in WORKLOADS:
+        for seed in range(N_VARIANTS):
+            parse_config(make_config(str(ROOT), name, seed, str(tmp_path)))
+
+
 def test_parse_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -390,6 +438,10 @@ def test_cli_step_failure_exit_code(tmp_path, capsys):
     assert code == 3
     summary = json.loads((tmp_path / "fail_out" / "summary.json").read_text())
     assert summary["failed_step"] == 1
+    # Picard ran out of sweeps; every linear solve succeeded.
+    assert len(summary["failure_picard_errors"]) == 2
+    assert summary["failure_picard_errors"][-1] > 1e-10
+    assert summary["failure_linear_residuals"] == []
 
 
 def test_solver_failure_reports_failed_step(tmp_path):
@@ -410,6 +462,11 @@ def test_solver_failure_reports_failed_step(tmp_path):
     assert excinfo.value.step_index == 1
     summary = json.loads((tmp_path / "api_out" / "summary.json").read_text())
     assert summary["failed_step"] == 1
+    # The first solve of the first sweep failed: no Picard error yet, and
+    # the residual history of the one BiCGStab iteration allowed.
+    assert summary["failure_picard_errors"] == []
+    assert len(summary["failure_linear_residuals"]) == 2
+    assert summary["failure_linear_residuals"] == excinfo.value.residual_history
     code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "cli_out")])
     assert code == 3
     assert json.loads((tmp_path / "cli_out" / "summary.json").read_text())["failed_step"] == 1
