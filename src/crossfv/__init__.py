@@ -30,8 +30,6 @@ from .kernels import (
     check_psd,
     convolve,
     discretize,
-    potential_implicit,
-    potential_midpoint,
     small_mass_threshold,
 )
 from .mesh import EdgeId, Mesh, MeshSpec, build_mesh, edges, neighbor

@@ -1,7 +1,8 @@
 """Discrete entropies, production terms and per-step structural checks.
 
 All reductions run in a fixed lexicographic cell/edge order so repeated
-runs produce bit-identical diagnostics.
+runs produce bit-identical diagnostics. `entropy_rao` and `verify_step`
+convolve from scratch: the reference for `build_report`, which reads `State.p`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import UsageError
-from .kernels import DiscreteKernel, potential_implicit
+from .kernels import DiscreteKernel
 from .weights import eval_B_kappa
 
 if TYPE_CHECKING:
@@ -65,8 +66,12 @@ def entropy_boltzmann(state: "State") -> float:
 
 def entropy_rao(state: "State", kernel: DiscreteKernel) -> float:
     """(1/2) sum_ij sum_KJ m(K) m(J) W_KJ^{ij} u_i,K u_j,J via convolution."""
-    pots = potential_implicit(kernel, state.u)
-    return float(0.5 * state.mesh.cell_measure * np.sum(state.u * pots))
+    return _rao(state, kernel.potentials(state.u))
+
+
+def _rao(state: "State", p: np.ndarray) -> float:
+    """H_R = (1/2) sum m(K) u p from the state's potential p = W*u."""
+    return float(0.5 * state.mesh.cell_measure * np.sum(state.u * p))
 
 
 def fisher_information(u: np.ndarray, mesh) -> float:
@@ -183,9 +188,9 @@ def build_report(
 ) -> StepReport:
     """Step report; with `full`, entropies, productions and verdicts too.
 
-    A full report takes the coupling potential from `curr.p` (set by
-    `advance` from the same inputs) and evaluates each entropy once, so it
-    costs two convolutions: H_R of prev and of curr.
+    A full report takes H_R from the carried `prev.p` and `curr.p`, and the
+    productions from `curr.p` (implicit) or one `coupling_potential` call
+    (mid-point): one convolution under mid-point coupling, none otherwise.
     """
     report = StepReport(
         step=curr.k,
@@ -198,9 +203,16 @@ def build_report(
         min_density=float(curr.u.min()),
     )
     if full:
-        terms = productions(curr, curr.p, cfg)
-        prev_h = (entropy_boltzmann(prev), entropy_rao(prev, kernel))
-        curr_h = (entropy_boltzmann(curr), entropy_rao(curr, kernel))
+        from .scheme import Coupling, coupling_potential
+
+        if prev.p is None or curr.p is None:
+            raise UsageError("a full report needs the potential State.p of both states")
+        p = curr.p
+        if cfg.coupling is Coupling.MIDPOINT:
+            p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
+        terms = productions(curr, p, cfg)
+        prev_h = (entropy_boltzmann(prev), _rao(prev, prev.p))
+        curr_h = (entropy_boltzmann(curr), _rao(curr, curr.p))
         report.h_boltzmann, report.h_rao = curr_h
         report.fisher = terms.fisher
         report.p_b = terms.p_b

@@ -38,6 +38,7 @@ from .kernels import (
 )
 from .mesh import Mesh, MeshSpec, build_mesh
 from .scheme import (
+    MAX_STEPS,
     Coupling,
     LinearSolverConfig,
     RunSummary,
@@ -88,6 +89,10 @@ class ExperimentConfig:
             if not self.dt_ladder_divisors or self.reference_dt_divisor is None:
                 raise ConfigurationError(
                     "converge_time needs dt_ladder_divisors and reference_dt_divisor"
+                )
+            if int(self.reference_dt_divisor) > MAX_STEPS:
+                raise ConfigurationError(
+                    f"step budget exceeded: {self.reference_dt_divisor} steps > {MAX_STEPS}"
                 )
             for div in self.dt_ladder_divisors:
                 _nesting_factor(int(self.reference_dt_divisor), int(div))
@@ -289,19 +294,10 @@ class ErrorTable:
     last_orders_l1: np.ndarray = None
 
     def fit(self):
-        n = self.linf.shape[1]
-        self.orders_linf = np.array(
-            [fit_rate(self.resolutions, self.linf[:, i])[0] for i in range(n)]
-        )
-        self.last_orders_linf = np.array(
-            [fit_rate(self.resolutions, self.linf[:, i])[1] for i in range(n)]
-        )
-        self.orders_l1 = np.array(
-            [fit_rate(self.resolutions, self.l1[:, i])[0] for i in range(n)]
-        )
-        self.last_orders_l1 = np.array(
-            [fit_rate(self.resolutions, self.l1[:, i])[1] for i in range(n)]
-        )
+        linf = np.array([fit_rate(self.resolutions, col) for col in self.linf.T])
+        l1 = np.array([fit_rate(self.resolutions, col) for col in self.l1.T])
+        self.orders_linf, self.last_orders_linf = linf[:, 0], linf[:, 1]
+        self.orders_l1, self.last_orders_l1 = l1[:, 0], l1[:, 1]
         return self
 
 
@@ -517,6 +513,7 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
             if prev_h_rao is not None and report.h_rao > prev_h_rao:
                 rao_non_increasing = False
             prev_h_rao = report.h_rao
+    modes = [dominant_mode(u) for u in run_summary.final_state.u]
     summary.update(
         {
             "final_masses": [float(m) for m in run_summary.final_state.masses()],
@@ -526,12 +523,8 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
             "gated_failures": gated_failures,
             "h_rao_non_increasing": rao_non_increasing,
             "dominant_modes": [
-                {
-                    "species": i + 1,
-                    "modes": list(dominant_mode(run_summary.final_state.u[i])[0]),
-                    "magnitude": dominant_mode(run_summary.final_state.u[i])[1],
-                }
-                for i in range(kernel.n_species)
+                {"species": i + 1, "modes": list(mode), "magnitude": magnitude}
+                for i, (mode, magnitude) in enumerate(modes)
             ],
         }
     )

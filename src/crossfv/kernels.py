@@ -139,9 +139,6 @@ class DiscreteKernel:
     def extension(self) -> Extension:
         return self.spec.extension
 
-    def offset_table(self, i: int, j: int) -> np.ndarray:
-        return self.tables[i, j]
-
     def value(self, i: int, j: int, cell_k, cell_j) -> float:
         """W_KJ^{ij} for explicit cell pairs (reference accessor for tests)."""
         k = np.asarray(cell_k, dtype=int)
@@ -337,22 +334,6 @@ def convolve(
         raise UsageError(f"offset table shape {w.shape} unexpected for {extension}")
     spectrum = _spectrum(w, mesh.shape, extension)
     return mesh.cell_measure * _fft_apply(spectrum[None, None], f[None], extension)[0]
-
-
-def potential_implicit(kernel: DiscreteKernel, fields: np.ndarray) -> np.ndarray:
-    """Fully implicit potentials p_i,K = sum_j sum_J m(J) W_KJ^{ij} u_j,J."""
-    return kernel.potentials(fields)
-
-
-def potential_midpoint(
-    kernel: DiscreteKernel, fields_curr: np.ndarray, fields_prev: np.ndarray
-) -> np.ndarray:
-    """Mid-point potentials built from the average of two density levels."""
-    fields_curr = np.asarray(fields_curr, dtype=float)
-    fields_prev = np.asarray(fields_prev, dtype=float)
-    if fields_curr.shape != fields_prev.shape:
-        raise UsageError("current and previous fields must have matching shapes")
-    return kernel.potentials(0.5 * (fields_curr + fields_prev))
 
 
 def check_psd(kernel: DiscreteKernel) -> PsdReport:

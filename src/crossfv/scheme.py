@@ -3,25 +3,27 @@
 Each time step freezes the nonlocal potential, solves one decoupled linear
 transport system per species (an M-matrix solve that preserves positivity
 and mass exactly up to the linear tolerance) and iterates the potential to
-a fixed point.
+a fixed point. Each accepted state carries its own potential p = W*u,
+computed once and read by the next step and by the diagnostics.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linsolve
 from .errors import ConfigurationError, NumericalStateError, SolverFailure, StepFailure, UsageError
-from .kernels import DiscreteKernel, potential_implicit, potential_midpoint
+from .kernels import DiscreteKernel
 from .mesh import EdgeId, Mesh, edge_cells
 from .weights import WeightKind, eval_B_kappa
 
 _TINY = float(np.finfo(float).tiny)
+MAX_STEPS = 10**7
 
 
 class Coupling(str, enum.Enum):
@@ -57,7 +59,10 @@ class SchemeConfig:
             raise ConfigurationError(f"diffusion coefficient must be positive, got {self.kappa}")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigurationError("time step and end time must be positive")
-        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+        steps = self.t_end / self.dt
+        if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, without overflow on inf
+            raise ConfigurationError(f"step budget exceeded: {steps:.0f} steps > {MAX_STEPS}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ConfigurationError(
                 f"time step {self.dt} does not divide end time {self.t_end}"
             )
@@ -66,20 +71,17 @@ class SchemeConfig:
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.dt))
-        if n > 10**7:
-            raise ConfigurationError(f"step budget exceeded: {n} steps")
-        return n
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
 class State:
-    """Per-species cell averages at one time level, with optional potentials."""
+    """Per-species cell averages at one time level and their potential W*u."""
 
     k: int
     u: np.ndarray  # (n_species, *mesh.shape)
     mesh: Mesh
-    p: np.ndarray | None = None
+    p: np.ndarray | None = None  # kernel.potentials(u), set by advance; None until then
 
     @property
     def n_species(self) -> int:
@@ -252,9 +254,11 @@ def coupling_potential(
     kernel: DiscreteKernel, curr: np.ndarray, prev: np.ndarray, coupling: Coupling
 ) -> np.ndarray:
     """Potential at curr (implicit) or at the mean of curr and prev (mid-point)."""
+    if np.shape(curr) != np.shape(prev):
+        raise UsageError("current and previous fields must have matching shapes")
     if coupling is Coupling.IMPLICIT:
-        return potential_implicit(kernel, curr)
-    return potential_midpoint(kernel, curr, prev)
+        return kernel.potentials(curr)
+    return kernel.potentials(0.5 * (np.asarray(curr, dtype=float) + prev))
 
 
 def advance(
@@ -266,29 +270,27 @@ def advance(
 ):
     """One implicit Euler step via Picard iteration on the potential.
 
-    Each sweep rebuilds the potential from the latest iterate (implicit
-    coupling) or from its average with the previous time level (mid-point),
-    solves the n decoupled linear systems and carries the new iterate
-    forward; the step is accepted once consecutive iterates agree in the
-    max norm. Returns the new state and its step report. An exhausted
-    Picard budget or a failed linear solve raises StepFailure with the
-    Picard errors so far and the failed solve's residual history.
+    The first sweep uses `state.p` (both couplings at u = u_prev); each
+    later one rebuilds the coupling potential from the latest iterate, and
+    the step is accepted once consecutive iterates agree in the max norm.
+    s sweeps cost s convolutions, the last for the new state's `p` (one
+    more when `state.p` is None; `state` itself is never modified).
+    Returns the new state and its step report. An exhausted Picard budget
+    or a failed linear solve raises StepFailure with the Picard errors so
+    far and the failed solve's residual history.
     """
     from . import diagnostics  # local import to keep module deps acyclic
 
     mesh = state.mesh
     u_prev = state.u
-    u_iter = u_prev.copy()
-    n = state.n_species
+    p_prev = kernel.potentials(u_prev) if state.p is None else state.p
+    u_iter, p = u_prev, p_prev
     errors = []
     residual = 0.0
-    iterations = 0
     clamped = 0
-    converged = False
-    for _ in range(cfg.picard_max_iter):
-        p = coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
+    while True:
         u_new = np.empty_like(u_iter)
-        for i in range(n):
+        for i in range(state.n_species):
             system = assemble(u_prev[i], p[i], cfg, mesh)
             try:
                 u_new[i], info = solve_linear(system, cfg, x0=u_iter[i].ravel())
@@ -297,24 +299,22 @@ def advance(
                     str(exc), error_history=errors, residual_history=exc.residual_history
                 ) from exc
             residual = max(residual, info.residual)
-            iterations += info.iterations
             clamped += info.clamped
         err = float(np.abs(u_new - u_iter).max())
         errors.append(err)
         u_iter = u_new
         if err <= cfg.picard_tol:
-            converged = True
             break
-    if not converged:
-        raise StepFailure(
-            f"Picard iteration did not converge within {cfg.picard_max_iter} "
-            f"sweeps (last error {errors[-1]:.3e}, tol {cfg.picard_tol:.3e})",
-            error_history=errors,
-        )
-    new_state = State(k=state.k + 1, u=u_iter, mesh=mesh, p=None)
-    new_state.p = coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
+        if len(errors) == cfg.picard_max_iter:
+            raise StepFailure(
+                f"Picard iteration did not converge within {cfg.picard_max_iter} "
+                f"sweeps (last error {err:.3e}, tol {cfg.picard_tol:.3e})",
+                error_history=errors,
+            )
+        p = coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
+    new_state = State(k=state.k + 1, u=u_iter, mesh=mesh, p=kernel.potentials(u_iter))
     report = diagnostics.build_report(
-        prev=state,
+        prev=replace(state, p=p_prev),
         curr=new_state,
         kernel=kernel,
         cfg=cfg,

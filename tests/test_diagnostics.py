@@ -278,15 +278,16 @@ def test_rao_gating_rules():
 
 @pytest.mark.parametrize("coupling", ["implicit", "midpoint"])
 def test_full_report_is_single_pass(coupling, monkeypatch):
-    # A full report convolves twice (H_R of prev and of curr) and its
-    # verdicts equal verify_step's on the same states.
+    # A full report reads H_R off the carried potentials State.p: it
+    # convolves only for the mid-point coupling potential, and its verdicts
+    # and H_R equal the from-scratch verify_step and entropy_rao.
     mesh = unit_mesh(24)
     spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shapes=Gaussian(eps=0.4))
     kernel = discretize(spec, mesh)
     cfg = cfg_for(mesh, coupling=coupling)
     x = mesh.axis_coordinates(0)
     u0 = np.stack([1.0 + 0.5 * np.sin(2 * np.pi * x), 1.0 + 0.3 * np.cos(2 * np.pi * x)])
-    state = State(k=0, u=u0, mesh=mesh)
+    state = State(k=0, u=u0, mesh=mesh, p=kernel.potentials(u0))
     new_state, _ = advance(state, kernel, cfg)
     calls = []
     potentials = DiscreteKernel.potentials
@@ -297,12 +298,16 @@ def test_full_report_is_single_pass(coupling, monkeypatch):
 
     monkeypatch.setattr(DiscreteKernel, "potentials", counted)
     report = build_report(state, new_state, kernel, cfg, 3, [1.0, 0.1, 0.0], 0.0, 0, True, True)
-    assert len(calls) == 2
+    assert len(calls) == (1 if coupling == "midpoint" else 0)
     expected = verify_step(state, new_state, kernel, cfg, psd_ok=True)
     assert {k: v.slack for k, v in report.verdicts.items()} == {
         k: v.slack for k, v in expected.items()
     }
     assert report.h_rao == entropy_rao(new_state, kernel)
+    with pytest.raises(UsageError, match="State.p"):
+        build_report(
+            State(k=0, u=u0, mesh=mesh), new_state, kernel, cfg, 1, [0.0], 0.0, 0, True, True
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,24 @@ def test_dt_must_divide_t_end(tmp_path, capsys):
     assert "does not divide end time" in capsys.readouterr().err
 
 
+def test_step_budget_rejected_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tiny_config(tmp_path, scheme={"kappa": 0.05, "dt": 5e-8, "t_end": 1.0})
+    with pytest.raises(ConfigurationError, match="step budget"):
+        parse_config(path)
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "step budget exceeded" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+    # The time ladder's reference step is checked at parse time too.
+    path = tiny_config(
+        tmp_path, mode="converge_time", dt_ladder_divisors=[4, 8, 16],
+        reference_dt_divisor=2**24,
+    )
+    assert cli_main(["converge-time", "--config", str(path), "--out", str(out)]) == 2
+    assert "step budget exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_error_table_csv_layout(tmp_path):
     import dataclasses
 

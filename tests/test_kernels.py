@@ -15,11 +15,10 @@ from crossfv import (
     check_psd,
     convolve,
     discretize,
-    potential_implicit,
-    potential_midpoint,
     small_mass_threshold,
 )
 from crossfv.kernels import quadratic_form
+from crossfv.scheme import Coupling, coupling_potential
 
 RNG = np.random.default_rng(1234)
 
@@ -226,7 +225,7 @@ def test_potential_of_constants_is_constant():
     kernel = two_species_kernel(mesh)
     c = np.array([2.0, 3.0])
     fields = np.stack([np.full(mesh.shape, c[0]), np.full(mesh.shape, c[1])])
-    p = potential_implicit(kernel, fields)
+    p = kernel.potentials(fields)
     for i in range(2):
         assert np.max(np.abs(p[i] - p[i].flat[0])) <= 1e-12 * abs(p[i].flat[0])
         expected = sum(
@@ -241,7 +240,7 @@ def test_zero_kernel_gives_zero_potential():
         KernelSpec(strengths=np.zeros((2, 2)), shapes=Gaussian(eps=1.0)), mesh
     )
     fields = RNG.random(size=(2,) + mesh.shape)
-    assert np.all(potential_implicit(kernel, fields) == 0)
+    assert np.all(kernel.potentials(fields) == 0)
 
 
 def test_point_mass_reads_off_table():
@@ -250,7 +249,7 @@ def test_point_mass_reads_off_table():
     fields = np.zeros((1,) + mesh.shape)
     j0 = 5
     fields[0, j0] = 1.0
-    p = potential_implicit(kernel, fields)
+    p = kernel.potentials(fields)
     for k in range(16):
         expected = mesh.cell_measure * kernel.tables[0, 0][(k - j0) % 16]
         assert p[0, k] == pytest.approx(expected, rel=1e-12, abs=1e-300)
@@ -261,12 +260,12 @@ def test_midpoint_potential_reductions():
     kernel = two_species_kernel(mesh)
     u = RNG.random(size=(2,) + mesh.shape)
     v = RNG.random(size=(2,) + mesh.shape)
-    same = potential_midpoint(kernel, u, u)
-    assert np.allclose(same, potential_implicit(kernel, u), rtol=1e-14)
-    half = potential_midpoint(kernel, u, np.zeros_like(u))
-    assert np.allclose(half, 0.5 * potential_implicit(kernel, u), rtol=1e-14)
-    mid = potential_midpoint(kernel, u, v)
-    direct = 0.5 * (potential_implicit(kernel, u) + potential_implicit(kernel, v))
+    same = coupling_potential(kernel, u, u, Coupling.MIDPOINT)
+    assert np.allclose(same, kernel.potentials(u), rtol=1e-14)
+    half = coupling_potential(kernel, u, np.zeros_like(u), Coupling.MIDPOINT)
+    assert np.allclose(half, 0.5 * kernel.potentials(u), rtol=1e-14)
+    mid = coupling_potential(kernel, u, v, Coupling.MIDPOINT)
+    direct = 0.5 * (kernel.potentials(u) + kernel.potentials(v))
     assert np.allclose(mid, direct, rtol=1e-12, atol=1e-14)
 
 
@@ -276,13 +275,13 @@ def test_differentiation_rule_periodic():
     mesh = build_mesh(MeshSpec(extents=((0, 1), (0, 1)), cells_per_axis=(8, 8)))
     kernel = two_species_kernel(mesh, shape=Gaussian(eps=0.12))
     u = RNG.random(size=(2,) + mesh.shape)
-    p = potential_implicit(kernel, u)
+    p = kernel.potentials(u)
     for axis in range(2):
         for sign in (+1, -1):
             shift = -sign
             dp = np.stack([np.roll(p[i], shift, axis=axis) - p[i] for i in range(2)])
             du = np.stack([np.roll(u[j], shift, axis=axis) - u[j] for j in range(2)])
-            rhs = potential_implicit(kernel, du)
+            rhs = kernel.potentials(du)
             scale = max(float(np.max(np.abs(dp))), 1e-30)
             assert np.max(np.abs(dp - rhs)) <= 1e-12 * scale
 

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from crossfv import (
     ConfigurationError,
     Coupling,
+    DiscreteKernel,
     Gaussian,
     KernelSpec,
     LinearSolverConfig,
@@ -318,6 +319,37 @@ def test_scheme_residual_within_tolerance_scale():
     scale = mesh.cell_measure / cfg.dt * float(np.max(new_state.u))
     bound = 10.0 * (cfg.picard_tol / cfg.dt + cfg.linear.rel_tol) * scale
     assert np.max(np.abs(res)) <= bound
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_one_potential_per_sweep(coupling, monkeypatch):
+    # Each sweep convolves once (the first reuses the previous state's p,
+    # the last one is the new state's p), plus once per run for the initial
+    # state and once per full report under mid-point coupling.
+    mesh = mesh_1d(24)
+    spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shapes=Gaussian(eps=0.4))
+    kernel = discretize(spec, mesh)
+    cfg = base_cfg(dt=0.02, t_end=0.06, kappa=0.05, coupling=coupling)
+    x = mesh.axis_coordinates(0)
+    u0 = np.stack([1.0 + 0.5 * np.sin(2 * np.pi * x), 1.0 + 0.3 * np.cos(2 * np.pi * x)])
+    calls = []
+    potentials = DiscreteKernel.potentials
+
+    def counted(self, u):
+        calls.append(1)
+        return potentials(self, u)
+
+    monkeypatch.setattr(DiscreteKernel, "potentials", counted)
+    initial = State(k=0, u=u0, mesh=mesh)
+    summary = run(cfg, initial, kernel, diagnostics_every=2)
+    assert initial.p is None  # advance never modifies its argument
+    full = [r for r in summary.reports if r.verdicts is not None]
+    assert summary.n_steps == 3 and len(full) == 2
+    sweeps = sum(r.picard_iters for r in summary.reports)
+    assert sweeps > 3
+    assert len(calls) == sweeps + 1 + (len(full) if coupling is Coupling.MIDPOINT else 0)
+    # The carried potential is the state's own W*u.
+    assert np.array_equal(summary.final_state.p, potentials(kernel, summary.final_state.u))
 
 
 def test_run_zero_steps_returns_initial():
