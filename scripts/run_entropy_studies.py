@@ -30,7 +30,7 @@ def main(argv=None) -> int:
         s = result.summary
         print(f"== {recipe} ==")
         print(f"  steps: {s['n_steps']}, mass drift: {s['max_mass_drift']:.3e}")
-        print(f"  PSD kernel: {s['psd']['is_psd'] if s['psd'] else 'unchecked'}")
+        print(f"  PSD kernel: {s['psd']['is_psd']}")
         print(f"  gated inequality failures: {s['gated_failures']}")
         print(f"  interaction energy non-increasing: {s['h_rao_non_increasing']}")
         first, last = result.run_summary.reports[0], result.run_summary.reports[-1]

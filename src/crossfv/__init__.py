@@ -28,7 +28,6 @@ from .kernels import (
     c_star,
     c_star_report,
     check_psd,
-    convolve,
     discretize,
     small_mass_threshold,
 )

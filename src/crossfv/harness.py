@@ -96,6 +96,21 @@ class ExperimentConfig:
                 )
             for div in self.dt_ladder_divisors:
                 _nesting_factor(int(self.reference_dt_divisor), int(div))
+        dt, n_steps = self.scheme.dt, self.scheme.n_steps
+        for t in self.snapshot_times:
+            steps = t / dt
+            # Same relative grid tolerance as the dt-divides-t_end check.
+            if not (t > 0 and np.isfinite(steps) and abs(round(steps) * dt - t) <= 1e-9 * t):
+                raise ConfigurationError(f"snapshot time {t} is not a positive multiple of dt {dt}")
+            # A run with t_end = 0 takes no step (set-up only) and writes no snapshot.
+            if n_steps and round(steps) > n_steps:
+                raise ConfigurationError(f"snapshot time {t} is after t_end {self.scheme.t_end}")
+        if self.diagnostics_every < 0:
+            raise ConfigurationError(
+                f"diagnostics_every must be >= 0, got {self.diagnostics_every}"
+            )
+        if self.threads < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
 
 
 def _nesting_factor(fine: int, coarse: int) -> int:
@@ -195,7 +210,7 @@ def _parse_kernel(raw: dict) -> KernelSpec:
         shape = TopHat(radius=float(raw["radius"]))
     return KernelSpec(
         strengths=np.asarray(raw["strengths"], dtype=float),
-        shapes=shape,
+        shape=shape,
         extension=Extension(raw.get("extension", "periodic_wrap")),
         quadrature_order=int(raw.get("quadrature_order", 4)),
     )
@@ -352,20 +367,15 @@ def _build_problem(cfg: ExperimentConfig, cells=None, dt=None):
 
 
 def _kernel_reports(cfg: ExperimentConfig, mesh: Mesh, kernel: DiscreteKernel, u0):
-    try:
-        psd = check_psd(kernel)
-        psd_summary = {"is_psd": psd.is_psd, "min_eigenvalue": psd.min_eigenvalue}
-        psd_ok = psd.is_psd
-    except UsageError as exc:
-        logger.info("skipping PSD check: %s", exc)
-        psd_summary, psd_ok = None, None
+    psd = check_psd(kernel)
+    psd_summary = {"is_psd": psd.is_psd, "min_eigenvalue": psd.min_eigenvalue}
     cstar = c_star_report(kernel, u0, mesh, cfg.scheme.kappa, cfg.scheme.weight.alpha)
     cstar_summary = {
         "c_star": cstar.c_star,
         "threshold": cstar.threshold,
         "within_threshold": cstar.within_threshold,
     }
-    return psd_summary, psd_ok, cstar_summary
+    return psd_summary, psd.is_psd, cstar_summary
 
 
 class _ReportWriter:

@@ -1,25 +1,29 @@
 """Interaction kernels, their cell-pair-averaged discretization and potentials.
 
-The discrete kernel stores one offset table per species pair: on the torus
-(periodic extension) tables are circulant and indexed by the cell offset
-modulo M; for whole-space kernels the raw center difference matters, so the
-table covers signed offsets (Toeplitz structure). Convolution is FFT on
-every grid: circulant on the torus, zero-padded 2M circulant embedding for
-whole-space tables; both are exact to round-off for any cell count.
+Every species pair shares one shape, W_ij = alpha_ij * w, and the cell-pair
+average of w is a product of per-axis factors, so the interaction form is
+the Kronecker product of alpha and the per-axis factor matrices. The
+discrete kernel stores those factors and one offset table per species pair:
+on the torus (periodic extension) tables are circulant and indexed by the
+cell offset modulo M; for whole-space kernels the raw center difference
+matters, so the table covers signed offsets (Toeplitz structure).
+Convolution is FFT on every grid: circulant on the torus, zero-padded 2M
+circulant embedding for whole-space tables; both are exact to round-off for
+any cell count.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .mesh import Mesh
-
-_DENSE_PSD_LIMIT = 8192
 
 
 @dataclass(frozen=True)
@@ -36,10 +40,6 @@ class Gaussian:
     def normalization(self) -> float:
         return 1.0 / np.sqrt(2.0 * np.pi * self.eps**2)
 
-    @property
-    def support_radius(self) -> float:
-        return np.inf
-
 
 @dataclass(frozen=True)
 class TopHat:
@@ -55,10 +55,6 @@ class TopHat:
     def normalization(self) -> float:
         return 1.0 / (2.0 * self.radius)
 
-    @property
-    def support_radius(self) -> float:
-        return self.radius
-
 
 class Extension(str, enum.Enum):
     WHOLE_SPACE = "whole_space"
@@ -67,15 +63,15 @@ class Extension(str, enum.Enum):
 
 @dataclass
 class KernelSpec:
-    """Per-pair kernel shapes and signed strengths (alpha_ij > 0 repels).
+    """One kernel shape for every species pair and signed strengths (alpha_ij > 0 repels).
 
-    ``shapes`` is either a single shape applied to every pair or an n x n
-    nested list; symmetry of strengths and shapes enforces the kernel
-    symmetry hypothesis for the built-in even shapes.
+    W_ij = alpha_ij * w with ``shape`` a `Gaussian` or a `TopHat`; an exactly
+    symmetric strength matrix and the even shapes give the kernel symmetry
+    hypothesis.
     """
 
     strengths: np.ndarray
-    shapes: object
+    shape: Gaussian | TopHat
     extension: Extension = Extension.PERIODIC_WRAP
     quadrature_order: int = 4
 
@@ -88,17 +84,8 @@ class KernelSpec:
         self.extension = Extension(self.extension)
         if self.quadrature_order < 1:
             raise ConfigurationError("quadrature order must be >= 1")
-        n = self.strengths.shape[0]
-        if isinstance(self.shapes, (Gaussian, TopHat)):
-            self.shapes = [[self.shapes] * n for _ in range(n)]
-        else:
-            self.shapes = [list(row) for row in self.shapes]
-            if len(self.shapes) != n or any(len(row) != n for row in self.shapes):
-                raise ConfigurationError("per-pair shapes must form an n x n table")
-            for i in range(n):
-                for j in range(n):
-                    if self.shapes[i][j] != self.shapes[j][i]:
-                        raise ConfigurationError("shape table must be symmetric")
+        if not isinstance(self.shape, (Gaussian, TopHat)):
+            raise ConfigurationError(f"kernel shape must be Gaussian or TopHat, got {self.shape!r}")
 
     @property
     def n_species(self) -> int:
@@ -124,12 +111,14 @@ class DiscreteKernel:
 
     For PERIODIC_WRAP the table w[delta] covers torus offsets and
     W_KJ = w[(K - J) mod M]; for WHOLE_SPACE it covers signed offsets
-    delta in [-(M-1), M-1] per axis and W_KJ = w[K - J].
+    delta in [-(M-1), M-1] per axis and W_KJ = w[K - J]. Each pair's table
+    is alpha_ij * normalization times the outer product of ``axis_factors``.
     """
 
     mesh: Mesh
     spec: KernelSpec
     tables: np.ndarray  # (n, n, *table_shape)
+    axis_factors: tuple  # one 1D table per axis
 
     @property
     def n_species(self) -> int:
@@ -138,17 +127,6 @@ class DiscreteKernel:
     @property
     def extension(self) -> Extension:
         return self.spec.extension
-
-    def value(self, i: int, j: int, cell_k, cell_j) -> float:
-        """W_KJ^{ij} for explicit cell pairs (reference accessor for tests)."""
-        k = np.asarray(cell_k, dtype=int)
-        jj = np.asarray(cell_j, dtype=int)
-        m = np.asarray(self.mesh.shape, dtype=int)
-        if self.extension is Extension.PERIODIC_WRAP:
-            delta = tuple((k - jj) % m)
-        else:
-            delta = tuple((k - jj) + (m - 1))
-        return float(self.tables[(i, j) + delta])
 
     @functools.cached_property
     def _spectra(self) -> np.ndarray:
@@ -178,30 +156,18 @@ def discretize(spec: KernelSpec, mesh: Mesh) -> DiscreteKernel:
     from nonnegative offsets, making the discrete symmetry exact.
     """
     n = spec.n_species
-    axis_cache: dict = {}
-    table_shape = _table_shape(mesh, spec.extension)
-    tables = np.empty((n, n) + table_shape)
+    factors = tuple(
+        _axis_table(spec.shape, mesh, axis, spec.extension, spec.quadrature_order)
+        for axis in range(mesh.dim)
+    )
+    full = factors[0]
+    for ax in range(1, mesh.dim):
+        full = np.multiply.outer(full, factors[ax])
+    tables = np.empty((n, n) + full.shape)
     for i in range(n):
         for j in range(n):
-            shape_ij = spec.shapes[i][j]
-            key = shape_ij
-            if key not in axis_cache:
-                axis_cache[key] = [
-                    _axis_table(shape_ij, mesh, axis, spec.extension, spec.quadrature_order)
-                    for axis in range(mesh.dim)
-                ]
-            factors = axis_cache[key]
-            full = factors[0]
-            for ax in range(1, mesh.dim):
-                full = np.multiply.outer(full, factors[ax])
-            tables[i, j] = spec.strengths[i, j] * shape_ij.normalization * full
-    return DiscreteKernel(mesh=mesh, spec=spec, tables=tables)
-
-
-def _table_shape(mesh: Mesh, extension: Extension) -> tuple:
-    if extension is Extension.PERIODIC_WRAP:
-        return mesh.shape
-    return tuple(2 * m - 1 for m in mesh.shape)
+            tables[i, j] = spec.strengths[i, j] * spec.shape.normalization * full
+    return DiscreteKernel(mesh=mesh, spec=spec, tables=tables, axis_factors=factors)
 
 
 def _axis_table(shape, mesh: Mesh, axis: int, extension: Extension, q: int) -> np.ndarray:
@@ -315,87 +281,34 @@ def _fft_apply(spectra: np.ndarray, fields: np.ndarray, extension: Extension) ->
     return out
 
 
-def convolve(
-    w: np.ndarray,
-    f: np.ndarray,
-    mesh: Mesh,
-    extension: Extension = Extension.PERIODIC_WRAP,
-) -> np.ndarray:
-    """g_K = sum_J m(J) * w[K - J] * f_J by FFT on any cell count.
-
-    Circulant on the torus; signed-offset (whole-space) tables are embedded
-    in a zero-padded 2M circulant and the result is cropped to the mesh.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != mesh.shape:
-        raise UsageError(f"field shape {f.shape} does not match mesh {mesh.shape}")
-    extension = Extension(extension)
-    if w.shape != _table_shape(mesh, extension):
-        raise UsageError(f"offset table shape {w.shape} unexpected for {extension}")
-    spectrum = _spectrum(w, mesh.shape, extension)
-    return mesh.cell_measure * _fft_apply(spectrum[None, None], f[None], extension)[0]
-
-
 def check_psd(kernel: DiscreteKernel) -> PsdReport:
     """Positive semidefiniteness of the discrete interaction quadratic form.
 
-    On the torus the form diagonalizes per discrete frequency: it is PSD iff
-    the Hermitian-symmetrized n x n symbol matrix (DFT of m(J) w_ij) is PSD
-    at every frequency. Whole-space tables lack circulant structure, so the
-    dense symmetric pair matrix is checked directly (desk scale only).
+    Its operator m(K) W is m(K) * normalization * (alpha (x) T_1 (x) ... (x)
+    T_d), with T_l axis l's factor matrix: circulant on the torus (eigenvalues:
+    its DFT), symmetric Toeplitz for whole-space kernels (dense M_l x M_l
+    eigensolve). Its eigenvalues are the products of one eigenvalue per factor
+    (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12), so the smallest
+    is a product of per-factor extremes. ``min_eigenvalue`` is that of m(K) W;
+    the verdict allows 1e-12 of the largest magnitude, or of 1 if smaller.
     """
-    n = kernel.n_species
-    mesh = kernel.mesh
-    m_cell = mesh.cell_measure
-    if kernel.extension is Extension.PERIODIC_WRAP:
-        n_freq = mesh.n_cells
-        symbols = np.empty((n, n, n_freq), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                symbols[i, j] = (m_cell * np.fft.fftn(kernel.tables[i, j])).ravel()
-        mats = np.transpose(symbols, (2, 0, 1))
-        mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-        eigs = np.linalg.eigvalsh(mats)
-        min_eig = float(eigs.min())
-        scale = max(1.0, float(np.abs(symbols).max()))
-    else:
-        size = n * mesh.n_cells
-        if size > _DENSE_PSD_LIMIT:
-            raise UsageError(
-                f"dense PSD check needs a {size}x{size} matrix; "
-                "use a smaller mesh or a periodic kernel"
-            )
-        big = np.empty((size, size))
-        idx = np.arange(mesh.n_cells)
-        multi = np.array(np.unravel_index(idx, mesh.shape))  # (d, N)
-        diff = tuple(
-            np.subtract.outer(multi[ax], multi[ax]) + (mesh.shape[ax] - 1)
-            for ax in range(mesh.dim)
-        )
-        for i in range(n):
-            for j in range(n):
-                block = kernel.tables[i, j][diff]
-                big[
-                    i * mesh.n_cells : (i + 1) * mesh.n_cells,
-                    j * mesh.n_cells : (j + 1) * mesh.n_cells,
-                ] = block
-        big *= m_cell * m_cell
-        big = 0.5 * (big + big.T)
-        eigs = np.linalg.eigvalsh(big)
-        min_eig = float(eigs.min())
-        scale = max(1.0, float(np.abs(big).max()))
-    tol = 1e-12 * scale
+    eigs = [np.linalg.eigvalsh(kernel.spec.strengths)]
+    for factor in kernel.axis_factors:
+        if kernel.extension is Extension.PERIODIC_WRAP:
+            eigs.append(np.fft.rfft(factor).real)
+        else:
+            m = (factor.size + 1) // 2
+            idx = np.arange(m)
+            eigs.append(np.linalg.eigvalsh(factor[np.subtract.outer(idx, idx) + (m - 1)]))
+    weight = kernel.mesh.cell_measure * kernel.spec.shape.normalization
+    extremes = [(e.min(), e.max()) for e in eigs]
+    products = [float(weight * math.prod(c)) for c in itertools.product(*extremes)]
+    min_eig = min(products)
+    tol = 1e-12 * max(1.0, max(abs(p) for p in products))
     return PsdReport(is_psd=bool(min_eig >= -tol), min_eigenvalue=min_eig)
 
 
-def quadratic_form(kernel: DiscreteKernel, fields: np.ndarray) -> float:
-    """sum_ij sum_KJ m(K) m(J) W_KJ^{ij} v_i,K v_j,J (brute-force oracle aid)."""
-    fields = np.asarray(fields, dtype=float)
-    pots = kernel.potentials(fields)
-    return float(kernel.mesh.cell_measure * np.sum(fields * pots))
-
-
-def sup_norm(shape, extension: Extension, mesh: Mesh, axis_samples: int = 4096) -> float:
+def sup_norm(shape, extension: Extension, mesh: Mesh) -> float:
     """Essential sup of the realized (possibly periodized) unit-strength kernel."""
     norm = shape.normalization
     if extension is Extension.WHOLE_SPACE:
@@ -408,17 +321,11 @@ def sup_norm(shape, extension: Extension, mesh: Mesh, axis_samples: int = 4096) 
             images = _gaussian_images(shape.eps, b - a)
             peak *= float(np.sum(np.exp(-images * images / (2.0 * shape.eps**2))))
         return norm * peak
+    # On an axis of length L the images of [-R, R] overlap ceil(2R/L)-fold on
+    # a set of positive measure, and more only on a null set.
     count = 1.0
-    for axis in range(mesh.dim):
-        a, b = mesh.spec.extents[axis]
-        length = b - a
-        z = (np.arange(axis_samples) + 0.5) / axis_samples * length - length / 2
-        n_img = max(1, int(np.ceil((shape.radius + length) / length)))
-        images = np.arange(-n_img, n_img + 1) * length
-        counts = np.zeros_like(z)
-        for img in images:
-            counts += (np.abs(z + img) <= shape.radius).astype(float)
-        count *= counts.max()
+    for a, b in mesh.spec.extents:
+        count *= math.ceil(2.0 * shape.radius / (b - a))
     return norm * count
 
 
@@ -434,12 +341,7 @@ def c_star(kernel_or_spec, u0_fields: np.ndarray, mesh: Mesh) -> float:
     if u0_fields.shape[0] != n:
         raise UsageError("initial fields must have one entry per species")
     masses = mesh.cell_measure * np.abs(u0_fields).reshape(n, -1).sum(axis=1)
-    sups = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            sups[i, j] = abs(spec.strengths[i, j]) * sup_norm(
-                spec.shapes[i][j], spec.extension, mesh
-            )
+    sups = np.abs(spec.strengths) * sup_norm(spec.shape, spec.extension, mesh)
     return float(max(sups[:, j] @ masses for j in range(n)))
 
 

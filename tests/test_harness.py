@@ -402,6 +402,62 @@ def test_step_budget_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides,args,message",
+    [
+        ({"snapshot_times": [0.0]}, [], "not a positive multiple"),
+        ({"snapshot_times": [-0.01]}, [], "not a positive multiple"),
+        ({"snapshot_times": [0.025]}, [], "not a positive multiple"),
+        ({"snapshot_times": [1e308]}, [], "not a positive multiple"),
+        ({"snapshot_times": [0.06]}, [], "after t_end"),
+        ({"diagnostics_every": -1}, [], "diagnostics_every"),
+        ({"threads": 0}, [], "threads"),
+        ({}, ["--threads", "0"], "threads"),
+    ],
+    ids=[
+        "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
+        "threads", "--threads",
+    ],
+)
+def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, args, message):
+    # dt = 0.01, t_end = 0.05: each value would run and be silently ignored.
+    out = tmp_path / "out"
+    path = tiny_config(tmp_path, **overrides)
+    assert cli_main(["run", "--config", str(path), "--out", str(out)] + args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_snapshot_times_on_the_grid_are_written(tmp_path):
+    # Entries within the grid tolerance of a step, up to t_end itself.
+    path = tiny_config(tmp_path, snapshot_times=[0.01, 0.03 + 1e-12, 0.05])
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("snapshot_*.csv"))
+    assert names == [f"snapshot_step{k:06d}.csv" for k in (1, 3, 5)]
+
+
+def test_whole_space_psd_verdict_beyond_dense_size(tmp_path):
+    # 2 species on a 96^2 whole-space mesh: the Rao gate stays on.
+    path = tiny_config(
+        tmp_path,
+        mesh={"extents": [[-1.0, 1.0], [-1.0, 1.0]], "cells": [96, 96]},
+        kernel={
+            "shape": "gaussian",
+            "eps": 0.3,
+            "strengths": [[0.1, 0.05], [0.05, 0.1]],
+            "extension": "whole_space",
+        },
+        scheme={"kappa": 0.05, "dt": 0.01, "t_end": 0.01},
+        initial=[{"type": "constant", "value": 1.0}, {"type": "constant", "value": 0.5}],
+    )
+    result = run_experiment(parse_config(path))
+    assert result.summary["psd"]["is_psd"] is True
+    assert result.summary["n_steps"] == 1
+    verdicts = result.run_summary.reports[-1].verdicts
+    assert verdicts["rao"].gated and verdicts["rao"].passed
+
+
 def test_error_table_csv_layout(tmp_path):
     import dataclasses
 

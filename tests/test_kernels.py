@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import direct_convolve
+from oracles import convolve, dense_form_eigenvalues, direct_convolve, kernel_value, quadratic_form
 from scipy.special import erf
 
 from crossfv import (
@@ -13,11 +13,10 @@ from crossfv import (
     build_mesh,
     c_star,
     check_psd,
-    convolve,
     discretize,
     small_mass_threshold,
 )
-from crossfv.kernels import quadratic_form
+from crossfv.kernels import sup_norm
 from crossfv.scheme import Coupling, coupling_potential
 
 RNG = np.random.default_rng(1234)
@@ -31,7 +30,7 @@ def unit_mesh(m, d=1):
 
 def single_species(shape, strength=1.0, extension=Extension.PERIODIC_WRAP, q=4):
     return KernelSpec(
-        strengths=np.array([[strength]]), shapes=shape, extension=extension, quadrature_order=q
+        strengths=np.array([[strength]]), shape=shape, extension=extension, quadrature_order=q
     )
 
 
@@ -136,7 +135,7 @@ def test_row_sum_matches_torus_integral_gaussian():
 
 def test_discrete_symmetry_exact():
     strengths = np.array([[2.0, -1.0], [-1.0, 0.5]])
-    spec = KernelSpec(strengths=strengths, shapes=Gaussian(eps=0.8))
+    spec = KernelSpec(strengths=strengths, shape=Gaussian(eps=0.8))
     mesh = unit_mesh(12)
     kernel = discretize(spec, mesh)
     for i in range(2):
@@ -144,7 +143,7 @@ def test_discrete_symmetry_exact():
             flipped = np.roll(kernel.tables[j, i][::-1], 1)
             assert np.array_equal(kernel.tables[i, j], flipped)
     spec_ws = KernelSpec(
-        strengths=strengths, shapes=Gaussian(eps=0.8), extension=Extension.WHOLE_SPACE
+        strengths=strengths, shape=Gaussian(eps=0.8), extension=Extension.WHOLE_SPACE
     )
     kernel_ws = discretize(spec_ws, mesh)
     for i in range(2):
@@ -154,7 +153,9 @@ def test_discrete_symmetry_exact():
 
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
-        KernelSpec(strengths=np.array([[1.0, 2.0], [3.0, 1.0]]), shapes=Gaussian(eps=1.0))
+        KernelSpec(strengths=np.array([[1.0, 2.0], [3.0, 1.0]]), shape=Gaussian(eps=1.0))
+    with pytest.raises(ConfigurationError):
+        KernelSpec(strengths=np.eye(2), shape=[[Gaussian(eps=1.0)] * 2] * 2)
     with pytest.raises(ConfigurationError):
         Gaussian(eps=0.0)
     with pytest.raises(ConfigurationError):
@@ -216,7 +217,7 @@ def two_species_kernel(mesh, extension=Extension.PERIODIC_WRAP, shape=None):
     shape = shape or Gaussian(eps=0.6)
     strengths = np.array([[1.0, 0.5], [0.5, 2.0]])
     return discretize(
-        KernelSpec(strengths=strengths, shapes=shape, extension=extension), mesh
+        KernelSpec(strengths=strengths, shape=shape, extension=extension), mesh
     )
 
 
@@ -237,7 +238,7 @@ def test_potential_of_constants_is_constant():
 def test_zero_kernel_gives_zero_potential():
     mesh = unit_mesh(8)
     kernel = discretize(
-        KernelSpec(strengths=np.zeros((2, 2)), shapes=Gaussian(eps=1.0)), mesh
+        KernelSpec(strengths=np.zeros((2, 2)), shape=Gaussian(eps=1.0)), mesh
     )
     fields = RNG.random(size=(2,) + mesh.shape)
     assert np.all(kernel.potentials(fields) == 0)
@@ -305,7 +306,8 @@ def brute_force_min_quadratic(kernel, n_samples=1000, seed=7):
             for j in range(n):
                 for ck in cells:
                     for cj in cells:
-                        q += m * m * kernel.value(i, j, ck, cj) * v[(i,) + ck] * v[(j,) + cj]
+                        w = kernel_value(kernel, i, j, ck, cj)
+                        q += m * m * w * v[(i,) + ck] * v[(j,) + cj]
         norm = float(np.sum(v * v))
         best = min(best, q / norm)
     return best
@@ -314,7 +316,7 @@ def brute_force_min_quadratic(kernel, n_samples=1000, seed=7):
 def test_psd_zero_kernel():
     mesh = unit_mesh(8)
     kernel = discretize(
-        KernelSpec(strengths=np.zeros((1, 1)), shapes=Gaussian(eps=1.0)), mesh
+        KernelSpec(strengths=np.zeros((1, 1)), shape=Gaussian(eps=1.0)), mesh
     )
     report = check_psd(kernel)
     assert report.is_psd
@@ -324,7 +326,7 @@ def test_psd_zero_kernel():
 def test_psd_gaussian_pair():
     mesh = unit_mesh(64)
     spec = KernelSpec(
-        strengths=np.array([[10.0, 5.0], [5.0, 3.0]]), shapes=Gaussian(eps=1.0)
+        strengths=np.array([[10.0, 5.0], [5.0, 3.0]]), shape=Gaussian(eps=1.0)
     )
     report = check_psd(discretize(spec, mesh))
     assert report.is_psd
@@ -334,7 +336,7 @@ def test_psd_gaussian_pair_whole_space():
     mesh = unit_mesh(32)
     spec = KernelSpec(
         strengths=np.array([[10.0, 5.0], [5.0, 3.0]]),
-        shapes=Gaussian(eps=1.0),
+        shape=Gaussian(eps=1.0),
         extension=Extension.WHOLE_SPACE,
     )
     report = check_psd(discretize(spec, mesh))
@@ -364,6 +366,32 @@ def test_psd_sign_agrees_with_brute_force(strength, shape):
         assert sampled < 0
 
 
+STRENGTHS = {
+    "psd": np.array([[2.0, 1.0, 0.5], [1.0, 1.5, 0.2], [0.5, 0.2, 1.0]]),
+    "indefinite": np.array([[1.0, 2.0], [2.0, 0.5]]),
+    "negative": np.array([[-1.0, -0.3], [-0.3, -2.0]]),
+    "zero": np.zeros((2, 2)),
+}
+
+
+@pytest.mark.parametrize("extension", list(Extension))
+@pytest.mark.parametrize("shape", [Gaussian(eps=0.4), TopHat(radius=0.3)], ids=repr)
+@pytest.mark.parametrize("cells", [(24,), (8, 6)], ids=str)
+def test_check_psd_matches_dense_oracle(extension, shape, cells):
+    # The Kronecker factorization gives the dense form's verdict and its
+    # smallest eigenvalue (of m(K) W, on both extensions) to round-off.
+    extents = ((0.0, 1.5), (-1.0, 1.0))[: len(cells)]
+    mesh = build_mesh(MeshSpec(extents=extents, cells_per_axis=cells))
+    for strengths in STRENGTHS.values():
+        spec = KernelSpec(strengths=strengths, shape=shape, extension=extension)
+        kernel = discretize(spec, mesh)
+        report = check_psd(kernel)
+        eigs = dense_form_eigenvalues(kernel)
+        scale = max(1.0, float(np.abs(eigs).max()))
+        assert abs(report.min_eigenvalue - eigs.min()) <= 1e-12 * scale
+        assert report.is_psd == bool(eigs.min() >= -1e-12 * scale)
+
+
 def test_quadratic_form_matches_brute_force():
     mesh = unit_mesh(8)
     kernel = two_species_kernel(mesh)
@@ -374,7 +402,8 @@ def test_quadratic_form_matches_brute_force():
         for j in range(2):
             for ck in np.ndindex(mesh.shape):
                 for cj in np.ndindex(mesh.shape):
-                    direct += m * m * kernel.value(i, j, ck, cj) * v[(i,) + ck] * v[(j,) + cj]
+                    w = kernel_value(kernel, i, j, ck, cj)
+                    direct += m * m * w * v[(i,) + ck] * v[(j,) + cj]
     assert quadratic_form(kernel, v) == pytest.approx(direct, rel=1e-12)
 
 
@@ -401,7 +430,7 @@ def test_c_star_unit_mass_tophat():
 def test_c_star_two_species_matches_direct_evaluation():
     mesh = build_mesh(MeshSpec(extents=((-4.0, 4.0),), cells_per_axis=(64,)))
     strengths = np.array([[-2.0, 0.5], [0.5, -1.0]])
-    spec = KernelSpec(strengths=strengths, shapes=TopHat(radius=1.0))
+    spec = KernelSpec(strengths=strengths, shape=TopHat(radius=1.0))
     u0 = np.stack(
         [np.full(mesh.shape, 0.25), np.full(mesh.shape, 0.125)]
     )  # masses 2 and 1
@@ -411,6 +440,23 @@ def test_c_star_two_species_matches_direct_evaluation():
         sum(abs(strengths[i, j]) * sup * masses[i] for i in range(2)) for j in range(2)
     )
     assert c_star(spec, u0, mesh) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "radius,count", [(0.25, 1), (0.5, 1), (0.5 + 1e-6, 2), (1.2, 3)]
+)
+def test_periodic_tophat_sup_counts_overlapping_images(radius, count):
+    # On a unit torus the images of [-R, R] overlap ceil(2R)-fold on a set
+    # of measure 2R - floor(2R) > 0, so that is the essential sup.
+    shape = TopHat(radius=radius)
+    mesh = unit_mesh(16)
+    assert sup_norm(shape, Extension.PERIODIC_WRAP, mesh) == count * shape.normalization
+    mesh_2d = unit_mesh(4, d=2)
+    assert sup_norm(shape, Extension.PERIODIC_WRAP, mesh_2d) == count**2 * shape.normalization
+    u0 = np.ones((1,) + mesh.shape)  # unit mass
+    assert c_star(single_species(shape, strength=-2.0), u0, mesh) == (
+        2.0 * count * shape.normalization
+    )
 
 
 def test_small_mass_threshold_value():

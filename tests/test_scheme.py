@@ -45,7 +45,7 @@ def base_cfg(**kw):
 
 def zero_kernel(mesh, n=1):
     return discretize(
-        KernelSpec(strengths=np.zeros((n, n)), shapes=Gaussian(eps=1.0)), mesh
+        KernelSpec(strengths=np.zeros((n, n)), shape=Gaussian(eps=1.0)), mesh
     )
 
 
@@ -292,7 +292,7 @@ def test_single_step_conserves_mass():
     mesh = mesh_1d(64)
     spec = KernelSpec(
         strengths=np.full((2, 2), 1e-3),
-        shapes=Gaussian(eps=1.0),
+        shape=Gaussian(eps=1.0),
         extension=Extension.WHOLE_SPACE,
     )
     kernel = discretize(spec, mesh)
@@ -308,7 +308,7 @@ def test_single_step_conserves_mass():
 
 def test_scheme_residual_within_tolerance_scale():
     mesh = mesh_1d(64)
-    spec = KernelSpec(strengths=np.array([[0.5, 0.2], [0.2, 0.3]]), shapes=Gaussian(eps=0.5))
+    spec = KernelSpec(strengths=np.array([[0.5, 0.2], [0.2, 0.3]]), shape=Gaussian(eps=0.5))
     kernel = discretize(spec, mesh)
     cfg = base_cfg(dt=0.01, kappa=0.05)
     x = mesh.axis_coordinates(0)
@@ -327,7 +327,7 @@ def test_one_potential_per_sweep(coupling, monkeypatch):
     # the last one is the new state's p), plus once per run for the initial
     # state and once per full report under mid-point coupling.
     mesh = mesh_1d(24)
-    spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shapes=Gaussian(eps=0.4))
+    spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shape=Gaussian(eps=0.4))
     kernel = discretize(spec, mesh)
     cfg = base_cfg(dt=0.02, t_end=0.06, kappa=0.05, coupling=coupling)
     x = mesh.axis_coordinates(0)
@@ -382,7 +382,7 @@ def test_pure_diffusion_decays_to_mean_monotonically():
 
 def test_picard_budget_exhaustion_raises_step_failure():
     mesh = mesh_1d(64, a=-10.0, b=10.0)
-    spec = KernelSpec(strengths=np.array([[-50.0]]), shapes=TopHat(radius=1.0))
+    spec = KernelSpec(strengths=np.array([[-50.0]]), shape=TopHat(radius=1.0))
     kernel = discretize(spec, mesh)
     cfg = base_cfg(dt=1.0, t_end=2.0, kappa=0.01, picard_max_iter=2)
     u0 = np.maximum(np.zeros((1,) + mesh.shape), TINY)
@@ -396,7 +396,7 @@ def test_picard_budget_exhaustion_raises_step_failure():
 
 def test_midpoint_coupling_runs():
     mesh = mesh_1d(32, a=-8.0, b=8.0)
-    spec = KernelSpec(strengths=np.array([[-2.0]]), shapes=TopHat(radius=2.0))
+    spec = KernelSpec(strengths=np.array([[-2.0]]), shape=TopHat(radius=2.0))
     kernel = discretize(spec, mesh)
     cfg = base_cfg(dt=0.05, t_end=0.25, kappa=0.1, coupling=Coupling.MIDPOINT)
     u0 = np.maximum(np.zeros((1,) + mesh.shape), TINY)
