@@ -31,7 +31,7 @@ from .kernels import (
     discretize,
     small_mass_threshold,
 )
-from .mesh import EdgeId, Mesh, MeshSpec, build_mesh, edges, neighbor
+from .mesh import Mesh, MeshSpec, build_mesh
 from .scheme import (
     Coupling,
     LinearSolverConfig,
@@ -40,19 +40,11 @@ from .scheme import (
     State,
     advance,
     assemble,
-    edge_flux,
     run,
     solve_linear,
 )
 from .weights import WeightKind, eval_B, eval_B_kappa
-from .diagnostics import (
-    StepReport,
-    entropy_boltzmann,
-    entropy_rao,
-    fisher_information,
-    productions,
-    verify_step,
-)
+from .diagnostics import StepReport, entropy_boltzmann, productions
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -12,9 +12,7 @@ import logging
 import sys
 
 from .errors import ConfigurationError, CrossFVError, SolverFailure, StepFailure
-from .harness import parse_config, run_experiment
-from .kernels import c_star_report, check_psd, discretize
-from .mesh import build_mesh
+from .harness import _build_problem, _kernel_reports, parse_config, run_experiment
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -82,16 +80,13 @@ def main(argv=None) -> int:
 
 
 def _check_kernel(cfg) -> int:
-    from .harness import _build_problem
-
-    mesh, kernel, scheme_cfg, state = _build_problem(cfg)
-    psd = check_psd(kernel)
-    cstar = c_star_report(kernel, state.u, mesh, scheme_cfg.kappa, scheme_cfg.weight.alpha)
+    mesh, kernel, _, state = _build_problem(cfg)
+    psd, _, cstar = _kernel_reports(cfg, mesh, kernel, state.u)
     print(f"{cfg.name}: kernel check on {mesh.shape} cells")
-    print(f"  positive semidefinite: {psd.is_psd} (min eigenvalue {psd.min_eigenvalue:.6e})")
+    print(f"  positive semidefinite: {psd['is_psd']} (min eigenvalue {psd['min_eigenvalue']:.6e})")
     print(
-        f"  c* = {cstar.c_star:.6e}, small-mass threshold = {cstar.threshold:.6e}, "
-        f"within threshold: {cstar.within_threshold}"
+        f"  c* = {cstar['c_star']:.6e}, small-mass threshold = {cstar['threshold']:.6e}, "
+        f"within threshold: {cstar['within_threshold']}"
     )
     return 0
 

@@ -1,8 +1,9 @@
 """Discrete entropies, production terms and per-step structural checks.
 
 All reductions run in a fixed lexicographic cell/edge order so repeated
-runs produce bit-identical diagnostics. `entropy_rao` and `verify_step`
-convolve from scratch: the reference for `build_report`, which reads `State.p`.
+runs produce bit-identical diagnostics. `build_report` reads each state's
+carried potential `State.p` and, when set, its entropy `State.h_b`; the
+from-scratch references it is tested against are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -64,24 +65,9 @@ def entropy_boltzmann(state: "State") -> float:
     return float(state.mesh.cell_measure * np.sum(u * (np.log(u) - 1.0)))
 
 
-def entropy_rao(state: "State", kernel: DiscreteKernel) -> float:
-    """(1/2) sum_ij sum_KJ m(K) m(J) W_KJ^{ij} u_i,K u_j,J via convolution."""
-    return _rao(state, kernel.potentials(state.u))
-
-
 def _rao(state: "State", p: np.ndarray) -> float:
     """H_R = (1/2) sum m(K) u p from the state's potential p = W*u."""
     return float(0.5 * state.mesh.cell_measure * np.sum(state.u * p))
-
-
-def fisher_information(u: np.ndarray, mesh) -> float:
-    """sum_i sum_sigma tau_sigma |D_sigma sqrt(u)|^2."""
-    root = np.sqrt(u)
-    total = 0.0
-    for axis in range(mesh.dim):
-        diff = np.roll(root, -1, axis=axis + 1) - root
-        total += mesh.tau(axis) * float(np.sum(diff * diff))
-    return total
 
 
 def productions(state: "State", p: np.ndarray, cfg: "SchemeConfig") -> ProductionTerms:
@@ -118,38 +104,16 @@ def tolerance_scale(cfg: "SchemeConfig", h_b: float, h_r: float) -> float:
     return 100.0 * base * max(1.0, abs(h_b), abs(h_r))
 
 
-def verify_step(
-    prev: "State",
-    curr: "State",
-    kernel: DiscreteKernel,
-    cfg: "SchemeConfig",
-    psd_ok: bool | None = None,
+def _verdicts(
+    terms: ProductionTerms, prev_h: tuple, curr_h: tuple, cfg: "SchemeConfig", psd_ok
 ) -> dict:
-    """Slack of the per-step entropy and Fisher-information inequalities.
+    """The three verdicts from the step's productions and (H_B, H_R) pairs.
 
     Inequalities are evaluated as LHS <= RHS + tol_scale and the recorded
     slack is (RHS + tol_scale) - LHS, so nonnegative slack means pass.
     The Rao check is only gating for mid-point coupling or a positively
     verified kernel; the other two hold for every built-in weight.
     """
-    from .scheme import coupling_potential
-
-    if np.any(prev.u <= 0) or np.any(curr.u <= 0):
-        raise UsageError("verification requires strictly positive states")
-    p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
-    return _verdicts(
-        productions(curr, p, cfg),
-        (entropy_boltzmann(prev), entropy_rao(prev, kernel)),
-        (entropy_boltzmann(curr), entropy_rao(curr, kernel)),
-        cfg,
-        psd_ok,
-    )
-
-
-def _verdicts(
-    terms: ProductionTerms, prev_h: tuple, curr_h: tuple, cfg: "SchemeConfig", psd_ok
-) -> dict:
-    """The three verdicts from the step's productions and (H_B, H_R) pairs."""
     from .scheme import Coupling
 
     h_b_prev, h_r_prev = prev_h
@@ -188,7 +152,8 @@ def build_report(
 ) -> StepReport:
     """Step report; with `full`, entropies, productions and verdicts too.
 
-    A full report takes H_R from the carried `prev.p` and `curr.p`, and the
+    A full report takes H_R from the carried `prev.p` and `curr.p`, H_B of
+    `prev` from `prev.h_b` when a previous full report set it, and the
     productions from `curr.p` (implicit) or one `coupling_potential` call
     (mid-point): one convolution under mid-point coupling, none otherwise.
     """
@@ -211,7 +176,8 @@ def build_report(
         if cfg.coupling is Coupling.MIDPOINT:
             p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
         terms = productions(curr, p, cfg)
-        prev_h = (entropy_boltzmann(prev), _rao(prev, prev.p))
+        h_b_prev = entropy_boltzmann(prev) if prev.h_b is None else prev.h_b
+        prev_h = (h_b_prev, _rao(prev, prev.p))
         curr_h = (entropy_boltzmann(curr), _rao(curr, curr.p))
         report.h_boltzmann, report.h_rao = curr_h
         report.fisher = terms.fisher

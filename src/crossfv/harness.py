@@ -78,6 +78,8 @@ class ExperimentConfig:
                 "need exactly one initial datum per species "
                 f"({self.kernel.n_species}), got {len(self.initial)}"
             )
+        if self.mode in ("converge_space", "converge_time") and self.snapshot_times:
+            raise ConfigurationError(f"snapshot_times are not written in mode {self.mode}")
         if self.mode == "converge_space":
             if not self.space_ladder or self.reference_cells is None:
                 raise ConfigurationError(
@@ -461,9 +463,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.mode in ("run", "entropy"):
         return _run_mode(cfg)
-    if cfg.mode == "converge_space":
-        return _converge_space(cfg)
-    return _converge_time(cfg)
+    return _converge(cfg)
 
 
 def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
@@ -582,57 +582,36 @@ def _structure_summary(summaries: list) -> dict:
     }
 
 
-def _converge_space(cfg: ExperimentConfig) -> ExperimentResult:
-    ladder = [int(c) for c in cfg.space_ladder]
-    reference = int(cfg.reference_cells)
-    jobs = [{"cells": cells} for cells in ladder] + [{"cells": reference}]
-    summaries = _run_ladder(cfg, jobs)
-    ref_state = summaries[-1].final_state
-    n = cfg.kernel.n_species
-    extent = cfg.mesh.extents[0][1] - cfg.mesh.extents[0][0]
-    rows_linf = np.zeros((len(ladder), n))
-    rows_l1 = np.zeros((len(ladder), n))
-    resolutions = []
-    for row, (cells, summary) in enumerate(zip(ladder, summaries[:-1])):
-        coarse_mesh = summary.final_state.mesh
-        resolutions.append(extent / cells)
-        for i in range(n):
-            ref_coarse = coarsen(ref_state.u[i], coarse_mesh.shape)
-            norms = error_norms(summary.final_state.u[i], ref_coarse, coarse_mesh)
-            rows_linf[row, i] = norms["Linf"]
-            rows_l1[row, i] = norms["L1"]
-    table = ErrorTable(
-        kind="space", resolutions=resolutions, linf=rows_linf, l1=rows_l1
-    ).fit()
-    return _finish_convergence(cfg, table, summaries, "space_errors.csv")
+def _converge(cfg: ExperimentConfig) -> ExperimentResult:
+    """Ladder of coarse solves against the last, finest one; the mode picks the ladder.
 
-
-def _converge_time(cfg: ExperimentConfig) -> ExperimentResult:
-    t_end = cfg.scheme.t_end
-    divisors = [int(d) for d in cfg.dt_ladder_divisors]
-    ref_div = int(cfg.reference_dt_divisor)
-    jobs = [{"dt": t_end / div} for div in divisors] + [{"dt": t_end / ref_div}]
+    Space refines the mesh at fixed dt, time refines dt on a fixed mesh. The
+    reference is averaged onto each coarse mesh, which in time is its own.
+    """
+    if cfg.mode == "converge_space":
+        kind = "space"
+        ladder = [int(c) for c in cfg.space_ladder] + [int(cfg.reference_cells)]
+        jobs = [{"cells": cells} for cells in ladder]
+        scale = cfg.mesh.extents[0][1] - cfg.mesh.extents[0][0]
+    else:
+        kind = "time"
+        ladder = [int(d) for d in cfg.dt_ladder_divisors] + [int(cfg.reference_dt_divisor)]
+        scale = cfg.scheme.t_end
+        jobs = [{"dt": scale / div} for div in ladder]
     summaries = _run_ladder(cfg, jobs)
-    ref_state = summaries[-1].final_state
+    ref_u = summaries[-1].final_state.u
     n = cfg.kernel.n_species
-    mesh = ref_state.mesh
-    rows_linf = np.zeros((len(divisors), n))
-    rows_l1 = np.zeros((len(divisors), n))
-    resolutions = [t_end / div for div in divisors]
+    rows_linf = np.zeros((len(ladder) - 1, n))
+    rows_l1 = np.zeros((len(ladder) - 1, n))
     for row, summary in enumerate(summaries[:-1]):
+        mesh = summary.final_state.mesh
         for i in range(n):
-            norms = error_norms(summary.final_state.u[i], ref_state.u[i], mesh)
+            ref = coarsen(ref_u[i], mesh.shape)
+            norms = error_norms(summary.final_state.u[i], ref, mesh)
             rows_linf[row, i] = norms["Linf"]
             rows_l1[row, i] = norms["L1"]
-    table = ErrorTable(
-        kind="time", resolutions=resolutions, linf=rows_linf, l1=rows_l1
-    ).fit()
-    return _finish_convergence(cfg, table, summaries, "time_errors.csv")
-
-
-def _finish_convergence(
-    cfg: ExperimentConfig, table: ErrorTable, summaries: list, filename: str
-) -> ExperimentResult:
+    resolutions = [scale / m for m in ladder[:-1]]
+    table = ErrorTable(kind=kind, resolutions=resolutions, linf=rows_linf, l1=rows_l1).fit()
     files: list = []
     summary = {
         "name": cfg.name,
@@ -645,8 +624,8 @@ def _finish_convergence(
     }
     summary.update(_structure_summary(summaries))
     if cfg.out_dir is not None:
-        path = os.path.join(cfg.out_dir, filename)
-        _write_error_table(path, table, cfg.kernel.n_species)
+        path = os.path.join(cfg.out_dir, f"{kind}_errors.csv")
+        _write_error_table(path, table, n)
         files.append(path)
     _write_summary(cfg.out_dir, summary, files)
     return ExperimentResult(

@@ -1,20 +1,17 @@
 """Uniform periodic Cartesian tensor meshes of the d-dimensional torus.
 
-Cells are identical hyper-rectangles indexed by multi-indices with periodic
-wraparound on every axis. Each undirected edge is enumerated exactly once,
-from its owner cell in the positive axis direction.
+Cells are identical hyper-rectangles, stored as row-major arrays of shape
+`Mesh.shape` with periodic wraparound on every axis. The edges of one axis
+share one measure and one transmissibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
-
-Cell = tuple  # multi-index of a cell
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -45,14 +42,6 @@ class MeshSpec:
 
 
 @dataclass(frozen=True)
-class EdgeId:
-    """Undirected edge, identified by its owner cell and positive axis (1-based)."""
-
-    cell: Cell
-    axis: int
-
-
-@dataclass(frozen=True)
 class Mesh:
     """Mesh with derived spacings, measures and transmissibilities.
 
@@ -79,15 +68,6 @@ class Mesh:
         return int(np.prod(self.shape))
 
     @property
-    def n_edges(self) -> int:
-        return self.dim * self.n_cells
-
-    @property
-    def h(self) -> float:
-        """Mesh size: the largest axis spacing."""
-        return max(self.dx)
-
-    @property
     def volume(self) -> float:
         return float(np.prod([b - a for a, b in self.spec.extents]))
 
@@ -96,20 +76,6 @@ class Mesh:
         a, _ = self.spec.extents[axis]
         m = self.shape[axis]
         return a + (np.arange(m) + 0.5) * self.dx[axis]
-
-    def cell_center(self, cell: Cell) -> tuple:
-        cell = _as_cell(cell, self.dim)
-        return tuple(
-            self.spec.extents[l][0] + (cell[l] + 0.5) * self.dx[l]
-            for l in range(self.dim)
-        )
-
-    def index(self, cell: Cell) -> int:
-        """Row-major linearization of a multi-index."""
-        return int(np.ravel_multi_index(_as_cell(cell, self.dim), self.shape))
-
-    def unindex(self, flat: int) -> Cell:
-        return tuple(int(i) for i in np.unravel_index(flat, self.shape))
 
     def tau(self, axis: int) -> float:
         """Transmissibility of edges orthogonal to a 0-based axis."""
@@ -131,40 +97,3 @@ def build_mesh(spec: MeshSpec) -> Mesh:
         edge_measures=edge_measures,
         transmissibilities=transmissibilities,
     )
-
-
-def neighbor(mesh: Mesh, cell: Cell, signed_axis: int) -> Cell:
-    """Cell one step along a signed 1-based axis, with periodic wrap."""
-    d = mesh.dim
-    if not isinstance(signed_axis, (int, np.integer)) or signed_axis == 0 or abs(signed_axis) > d:
-        raise UsageError(f"signed axis must be in +-1..{d}, got {signed_axis}")
-    cell = _as_cell(cell, d)
-    l = abs(signed_axis) - 1
-    step = 1 if signed_axis > 0 else -1
-    out = list(cell)
-    out[l] = (out[l] + step) % mesh.shape[l]
-    return tuple(out)
-
-
-def edges(mesh: Mesh) -> Iterator[EdgeId]:
-    """All undirected edges, each exactly once (owner cell, +axis)."""
-    for cell in np.ndindex(mesh.shape):
-        for axis in range(1, mesh.dim + 1):
-            yield EdgeId(cell=tuple(int(i) for i in cell), axis=axis)
-
-
-def edge_cells(mesh: Mesh, edge: EdgeId) -> tuple:
-    """(owner K, neighbor L) cells of an edge."""
-    if not (1 <= edge.axis <= mesh.dim):
-        raise UsageError(f"edge axis {edge.axis} out of range for dim {mesh.dim}")
-    k = _as_cell(edge.cell, mesh.dim)
-    return k, neighbor(mesh, k, edge.axis)
-
-
-def _as_cell(cell, dim: int) -> Cell:
-    if isinstance(cell, (int, np.integer)):
-        cell = (int(cell),)
-    cell = tuple(int(i) for i in cell)
-    if len(cell) != dim:
-        raise UsageError(f"cell {cell} does not match mesh dimension {dim}")
-    return cell

@@ -1,10 +1,12 @@
 """Implicit Euler finite-volume scheme with the generalized upwind flux.
 
-Each time step freezes the nonlocal potential, solves one decoupled linear
-transport system per species (an M-matrix solve that preserves positivity
-and mass exactly up to the linear tolerance) and iterates the potential to
-a fixed point. Each accepted state carries its own potential p = W*u,
-computed once and read by the next step and by the diagnostics.
+The flux F = -tau * (B_kappa(|Dp|) * Du + u_upwind * Dp) exists only as the
+stencil slots of `assemble`. Each time step freezes the nonlocal potential,
+solves one decoupled linear transport system per species (an M-matrix solve
+that preserves positivity and mass exactly up to the linear tolerance) and
+iterates the potential to a fixed point. Each accepted state carries its own
+potential p = W*u, computed once and read by the next step and by the
+diagnostics, and after a full report its Boltzmann entropy H_B.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 from . import linsolve
 from .errors import ConfigurationError, NumericalStateError, SolverFailure, StepFailure, UsageError
 from .kernels import DiscreteKernel
-from .mesh import EdgeId, Mesh, edge_cells
+from .mesh import Mesh
 from .weights import WeightKind, eval_B_kappa
 
 _TINY = float(np.finfo(float).tiny)
@@ -82,6 +84,7 @@ class State:
     u: np.ndarray  # (n_species, *mesh.shape)
     mesh: Mesh
     p: np.ndarray | None = None  # kernel.potentials(u), set by advance; None until then
+    h_b: float | None = None  # entropy_boltzmann(self), set by advance after a full report
 
     @property
     def n_species(self) -> int:
@@ -108,58 +111,6 @@ class SolveInfo:
 def axis_difference(values: np.ndarray, axis: int) -> np.ndarray:
     """Owner-side difference to the +axis neighbor, D_K = v_{K+e} - v_K."""
     return np.roll(values, -1, axis=axis) - values
-
-
-def edge_flux(mesh: Mesh, u: np.ndarray, p: np.ndarray, edge: EdgeId, cfg: SchemeConfig) -> float:
-    """Numerical flux through one edge, seen from the owner cell.
-
-    F = -tau * (B_kappa(|Dp|) * Du + u_upwind * Dp) where the upwind value
-    takes the neighbor cell when Dp >= 0 (the drift term vanishes at the
-    tie, so the flux is continuous there). The flux seen from the neighbor
-    is exactly the negation.
-    """
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
-        raise NumericalStateError("edge flux requires finite densities and potentials")
-    cell_k, cell_l = edge_cells(mesh, edge)
-    axis = edge.axis - 1
-    du = u[cell_l] - u[cell_k]
-    dp = p[cell_l] - p[cell_k]
-    upwind = u[cell_l] if dp >= 0 else u[cell_k]
-    tau = mesh.tau(axis)
-    return float(-tau * (eval_B_kappa(cfg.weight, cfg.kappa, abs(dp)) * du + upwind * dp))
-
-
-def axis_fluxes(mesh: Mesh, u: np.ndarray, p: np.ndarray, cfg: SchemeConfig) -> list:
-    """Owner-side fluxes for all edges, one array per axis."""
-    out = []
-    for axis in range(mesh.dim):
-        du = axis_difference(u, axis)
-        dp = axis_difference(p, axis)
-        upwind = np.where(dp >= 0, np.roll(u, -1, axis=axis), u)
-        bk = eval_B_kappa(cfg.weight, cfg.kappa, np.abs(dp))
-        out.append(-mesh.tau(axis) * (bk * du + upwind * dp))
-    return out
-
-
-def flux_divergence(mesh: Mesh, fluxes: list) -> np.ndarray:
-    """sum over edges of K of F_{K,sigma} (the +axis flux minus its shift)."""
-    div = np.zeros(mesh.shape)
-    for axis, f in enumerate(fluxes):
-        div += f - np.roll(f, 1, axis=axis)
-    return div
-
-
-def scheme_residual(
-    mesh: Mesh, u_prev: np.ndarray, u_curr: np.ndarray, p: np.ndarray, cfg: SchemeConfig
-) -> np.ndarray:
-    """Per-cell residual of the implicit Euler balance for each species."""
-    res = np.empty_like(u_curr)
-    for i in range(u_curr.shape[0]):
-        fluxes = axis_fluxes(mesh, u_curr[i], p[i], cfg)
-        res[i] = mesh.cell_measure * (u_curr[i] - u_prev[i]) / cfg.dt + flux_divergence(
-            mesh, fluxes
-        )
-    return res
 
 
 @functools.lru_cache(maxsize=32)
@@ -274,7 +225,8 @@ def advance(
     later one rebuilds the coupling potential from the latest iterate, and
     the step is accepted once consecutive iterates agree in the max norm.
     s sweeps cost s convolutions, the last for the new state's `p` (one
-    more when `state.p` is None; `state` itself is never modified).
+    more when `state.p` is None; `state` itself is never modified). A full
+    report's H_B of the new state is kept as its `h_b`.
     Returns the new state and its step report. An exhausted Picard budget
     or a failed linear solve raises StepFailure with the Picard errors so
     far and the failed solve's residual history.
@@ -325,6 +277,8 @@ def advance(
         psd_ok=psd_ok,
         full=compute_diagnostics,
     )
+    if compute_diagnostics:
+        new_state.h_b = report.h_boltzmann
     return new_state, report
 
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import convolve, direct_convolve, kernel_value
+from oracles import assembled_fluxes, convolve, direct_convolve, entropy_rao, kernel_value
 
 from crossfv import (
     Extension,
@@ -27,13 +27,11 @@ from crossfv import (
     build_mesh,
     check_psd,
     discretize,
-    entropy_rao,
     parse_config,
     run_experiment,
     solve_linear,
 )
-from crossfv.mesh import EdgeId
-from crossfv.scheme import assemble, axis_fluxes, edge_flux
+from crossfv.scheme import assemble
 from crossfv.weights import bernoulli_signed
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -241,15 +239,15 @@ def test_criterion_6_oracle_equivalences():
     ok_b = gap_b <= 1e-12
     details.append(f"rao {gap_b:.2e}")
 
-    # (c) Bernoulli-weight flux vs the classical two-sided form.
+    # (c) Bernoulli-weight flux of the assembled matrix vs the classical two-sided form.
     mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(32,)))
     cfg = SchemeConfig(kappa=0.23, dt=0.01, t_end=0.01, weight=WeightKind.BERNOULLI)
     uf = RNG.random(mesh.shape) + 0.1
     pf = RNG.normal(scale=0.5, size=mesh.shape)
+    fluxes = assembled_fluxes(assemble(uf, pf, cfg, mesh), uf)[0]
     worst_c = 0.0
     for k in range(32):
-        edge = EdgeId(cell=(k,), axis=1)
-        flux = edge_flux(mesh, uf, pf, edge, cfg)
+        flux = fluxes[k]
         dp = pf[(k + 1) % 32] - pf[k]
         classical = mesh.tau(0) * (
             cfg.kappa * bernoulli_signed(dp / cfg.kappa) * uf[k]
@@ -390,6 +388,7 @@ def test_criterion_8_psd_checker():
 
 
 def test_criterion_9_zero_diffusion_limit():
+    # The flux is read off the matrix that assemble builds for (u, p).
     mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(32,)))
     u = RNG.random(mesh.shape) + 0.5
     p = 0.02 * RNG.random(mesh.shape)
@@ -397,7 +396,7 @@ def test_criterion_9_zero_diffusion_limit():
     errs = []
     for kappa in kappas:
         cfg = SchemeConfig(kappa=kappa, dt=0.01, t_end=0.01, weight=WeightKind.BERNOULLI)
-        flux = axis_fluxes(mesh, u, p, cfg)[0]
+        flux = assembled_fluxes(assemble(u, p, cfg, mesh), u)[0]
         dp = np.roll(p, -1) - p
         upwind = np.where(dp >= 0, np.roll(u, -1), u)
         errs.append(float(np.max(np.abs(flux + mesh.tau(0) * upwind * dp))))

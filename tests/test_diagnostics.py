@@ -3,7 +3,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from oracles import kernel_value
+from oracles import entropy_rao, fisher_information, kernel_value, verify_step
 
 from crossfv import (
     DiscreteKernel,
@@ -18,18 +18,16 @@ from crossfv import (
     build_mesh,
     discretize,
     entropy_boltzmann,
-    entropy_rao,
-    fisher_information,
     productions,
-    verify_step,
 )
+from crossfv import diagnostics
 from crossfv.diagnostics import (
     build_report,
     report_csv_header,
     report_csv_row,
     tolerance_scale,
 )
-from crossfv.scheme import advance
+from crossfv.scheme import advance, run
 from crossfv.weights import eval_B_kappa
 
 RNG = np.random.default_rng(99)
@@ -308,6 +306,30 @@ def test_full_report_is_single_pass(coupling, monkeypatch):
         build_report(
             State(k=0, u=u0, mesh=mesh), new_state, kernel, cfg, 1, [0.0], 0.0, 0, True, True
         )
+
+
+def test_boltzmann_entropy_carried_between_reports(monkeypatch):
+    # A full report keeps H_B of the new state as State.h_b and the next one
+    # reads it back: one entropy_boltzmann call per report, plus one for the
+    # initial state.
+    mesh = unit_mesh(24)
+    kernel = discretize(KernelSpec(strengths=np.array([[0.3]]), shape=Gaussian(eps=0.4)), mesh)
+    cfg = cfg_for(mesh, dt=0.02, t_end=0.06)
+    x = mesh.axis_coordinates(0)
+    u0 = (1.0 + 0.5 * np.sin(2 * np.pi * x))[None]
+    calls = []
+    boltzmann = diagnostics.entropy_boltzmann
+
+    def counted(state):
+        calls.append(1)
+        return boltzmann(state)
+
+    monkeypatch.setattr(diagnostics, "entropy_boltzmann", counted)
+    summary = run(cfg, State(k=0, u=u0, mesh=mesh), kernel, diagnostics_every=1)
+    full = [r for r in summary.reports if r.verdicts is not None]
+    assert len(full) == 3
+    assert len(calls) == len(full) + 1
+    assert summary.final_state.h_b == boltzmann(summary.final_state)
 
 
 # ---------------------------------------------------------------------------

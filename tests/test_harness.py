@@ -413,17 +413,28 @@ def test_step_budget_rejected_before_any_output(tmp_path, capsys):
         ({"diagnostics_every": -1}, [], "diagnostics_every"),
         ({"threads": 0}, [], "threads"),
         ({}, ["--threads", "0"], "threads"),
+        (
+            {"mode": "converge_space", "space_ladder": [4, 8, 16], "reference_cells": 32,
+             "snapshot_times": [0.05]},
+            [], "snapshot_times",
+        ),
+        (
+            {"mode": "converge_time", "dt_ladder_divisors": [1, 2, 4], "reference_dt_divisor": 8,
+             "snapshot_times": [0.05]},
+            [], "snapshot_times",
+        ),
     ],
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
-        "threads", "--threads",
+        "threads", "--threads", "snap-converge-space", "snap-converge-time",
     ],
 )
 def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, args, message):
     # dt = 0.01, t_end = 0.05: each value would run and be silently ignored.
     out = tmp_path / "out"
     path = tiny_config(tmp_path, **overrides)
-    assert cli_main(["run", "--config", str(path), "--out", str(out)] + args) == 2
+    command = overrides.get("mode", "run").replace("_", "-")
+    assert cli_main([command, "--config", str(path), "--out", str(out)] + args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -563,3 +574,11 @@ def test_cli_mode_override(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "ov" / "space_errors.csv").exists()
+    # Snapshots of a run config are rejected once the command makes it a ladder.
+    path = tiny_config(
+        tmp_path, mode="run", space_ladder=[8, 16, 32], reference_cells=64,
+        snapshot_times=[0.05],
+    )
+    out = tmp_path / "ov2"
+    assert cli_main(["converge-space", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
