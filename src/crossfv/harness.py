@@ -85,6 +85,7 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "converge_space needs space_ladder and reference_cells"
                 )
+            _check_ladder("space_ladder", self.space_ladder, self.reference_cells)
             for cells in self.space_ladder:
                 _nesting_factor(int(self.reference_cells), int(cells))
         if self.mode == "converge_time":
@@ -92,6 +93,7 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "converge_time needs dt_ladder_divisors and reference_dt_divisor"
                 )
+            _check_ladder("dt_ladder_divisors", self.dt_ladder_divisors, self.reference_dt_divisor)
             if int(self.reference_dt_divisor) > MAX_STEPS:
                 raise ConfigurationError(
                     f"step budget exceeded: {self.reference_dt_divisor} steps > {MAX_STEPS}"
@@ -113,6 +115,20 @@ class ExperimentConfig:
             )
         if self.threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
+
+
+def _check_ladder(name: str, ladder: list, reference: int) -> None:
+    """Reject a ladder the rate fit cannot use.
+
+    The fit needs at least 3 entries, strictly increasing and below the
+    reference: an entry equal to the reference has zero error and drops out.
+    """
+    values = [int(v) for v in ladder] + [int(reference)]
+    if len(values) < 4 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigurationError(
+            f"{name} needs at least 3 strictly increasing entries below the reference "
+            f"{reference}, got {ladder}"
+        )
 
 
 def _nesting_factor(fine: int, coarse: int) -> int:
@@ -371,7 +387,7 @@ def _build_problem(cfg: ExperimentConfig, cells=None, dt=None):
 def _kernel_reports(cfg: ExperimentConfig, mesh: Mesh, kernel: DiscreteKernel, u0):
     psd = check_psd(kernel)
     psd_summary = {"is_psd": psd.is_psd, "min_eigenvalue": psd.min_eigenvalue}
-    cstar = c_star_report(kernel, u0, mesh, cfg.scheme.kappa, cfg.scheme.weight.alpha)
+    cstar = c_star_report(kernel.spec, u0, mesh, cfg.scheme.kappa, cfg.scheme.weight.alpha)
     cstar_summary = {
         "c_star": cstar.c_star,
         "threshold": cstar.threshold,

@@ -2,7 +2,7 @@
 
 Cells are identical hyper-rectangles, stored as row-major arrays of shape
 `Mesh.shape` with periodic wraparound on every axis. The edges of one axis
-share one measure and one transmissibility.
+share one transmissibility.
 """
 
 from __future__ import annotations
@@ -43,16 +43,15 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Mesh with derived spacings, measures and transmissibilities.
+    """Mesh with derived spacings, cell measure and transmissibilities.
 
-    Immutable after construction; safe to share across threads. One edge
-    measure and one transmissibility per axis (the mesh is uniform).
+    Immutable after construction; safe to share across threads. One
+    transmissibility per axis (the mesh is uniform).
     """
 
     spec: MeshSpec
     dx: tuple
     cell_measure: float
-    edge_measures: tuple
     transmissibilities: tuple
 
     @property
@@ -66,10 +65,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return int(np.prod(self.shape))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod([b - a for a, b in self.spec.extents]))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along a 0-based axis."""
@@ -86,14 +81,7 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     """Construct a mesh with all derived quantities from a validated spec."""
     dx = tuple((b - a) / m for (a, b), m in zip(spec.extents, spec.cells_per_axis))
     cell_measure = float(np.prod(dx))
-    # In 1D the codimension-1 measure degenerates; m(sigma) := m(K)/dx keeps
-    # tau = m(sigma)/dx consistent across dimensions.
-    edge_measures = tuple(cell_measure / h for h in dx)
-    transmissibilities = tuple(ms / h for ms, h in zip(edge_measures, dx))
-    return Mesh(
-        spec=spec,
-        dx=dx,
-        cell_measure=cell_measure,
-        edge_measures=edge_measures,
-        transmissibilities=transmissibilities,
-    )
+    # tau = m(sigma)/dx with m(sigma) = m(K)/dx, which stays consistent in
+    # 1D where the codimension-1 measure degenerates.
+    transmissibilities = tuple(cell_measure / h / h for h in dx)
+    return Mesh(spec=spec, dx=dx, cell_measure=cell_measure, transmissibilities=transmissibilities)

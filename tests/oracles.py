@@ -4,10 +4,11 @@ Kernels: the direct sums return sum_J w[K - J] * f_J without the cell
 measure, by an O(M^2) loop over table offsets: on the torus the offset is
 taken modulo the cell count; for whole-space (signed-offset) tables sources
 outside the mesh are dropped. ``convolve`` applies one offset table through
-the package's FFT path. ``kernel_value``, ``quadratic_form`` and
-``dense_form_eigenvalues`` read the kernel cell pair by cell pair or as one
-dense matrix; they are the brute-force references for the potentials and
-for ``check_psd``.
+the package's FFT path. The pair (i, j) table is ``alpha_ij * kernel.table``;
+``direct_potentials``, ``kernel_value``, ``quadratic_form`` and
+``dense_form_eigenvalues`` read it pair by pair, cell pair by cell pair or
+as one dense matrix; they are the brute-force references for the
+potentials and for ``check_psd``.
 
 Flux: ``edges``, ``neighbor`` and ``edge_cells`` walk the mesh edge by
 edge, an edge being a plain ``(owner cell, positive 1-based axis)`` tuple.
@@ -71,7 +72,8 @@ def direct_potentials(kernel, fields) -> np.ndarray:
     out = np.zeros_like(fields)
     for i in range(kernel.n_species):
         for j in range(kernel.n_species):
-            out[i] += direct_convolve(kernel.tables[i, j], fields[j], kernel.mesh, kernel.extension)
+            w = pair_table(kernel, i, j)
+            out[i] += direct_convolve(w, fields[j], kernel.mesh, kernel.extension)
     return out
 
 
@@ -84,7 +86,12 @@ def convolve(w, f, mesh, extension=Extension.PERIODIC_WRAP) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     extension = Extension(extension)
     spectrum = _spectrum(w, mesh.shape, extension)
-    return mesh.cell_measure * _fft_apply(spectrum[None, None], f[None], extension)[0]
+    return mesh.cell_measure * _fft_apply(spectrum, f[None], extension)[0]
+
+
+def pair_table(kernel, i, j) -> np.ndarray:
+    """Offset table of W^{ij} = alpha_ij * w."""
+    return kernel.spec.strengths[i, j] * kernel.table
 
 
 def kernel_value(kernel, i, j, cell_k, cell_j) -> float:
@@ -96,7 +103,7 @@ def kernel_value(kernel, i, j, cell_k, cell_j) -> float:
         delta = tuple((k - jj) % m)
     else:
         delta = tuple((k - jj) + (m - 1))
-    return float(kernel.tables[(i, j) + delta])
+    return float(kernel.spec.strengths[i, j] * kernel.table[delta])
 
 
 def quadratic_form(kernel, fields) -> float:
@@ -127,7 +134,7 @@ def dense_form_eigenvalues(kernel) -> np.ndarray:
             big[
                 i * mesh.n_cells : (i + 1) * mesh.n_cells,
                 j * mesh.n_cells : (j + 1) * mesh.n_cells,
-            ] = kernel.tables[i, j][diff]
+            ] = pair_table(kernel, i, j)[diff]
     big *= mesh.cell_measure
     return np.linalg.eigvalsh(0.5 * (big + big.T))
 

@@ -402,6 +402,19 @@ def test_step_budget_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+LADDER = "at least 3 strictly increasing entries"
+
+
+def space_ladder(cells, reference):
+    return {"mode": "converge_space", "space_ladder": cells, "reference_cells": reference}
+
+
+def time_ladder(divisors, reference):
+    return {
+        "mode": "converge_time", "dt_ladder_divisors": divisors, "reference_dt_divisor": reference
+    }
+
+
 @pytest.mark.parametrize(
     "overrides,args,message",
     [
@@ -423,10 +436,20 @@ def test_step_budget_rejected_before_any_output(tmp_path, capsys):
              "snapshot_times": [0.05]},
             [], "snapshot_times",
         ),
+        # Ladders the rate fit cannot use: too short, repeated, coarsening or
+        # reaching the reference.
+        (space_ladder([8, 16], 64), [], LADDER),
+        (space_ladder([8, 8, 16], 64), [], LADDER),
+        (space_ladder([16, 8, 4], 64), [], LADDER),
+        (time_ladder([2, 2, 4], 8), [], LADDER),
+        (space_ladder([8, 16, 32], 32), [], LADDER),
+        (time_ladder([2, 4, 8], 8), [], LADDER),
     ],
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
         "threads", "--threads", "snap-converge-space", "snap-converge-time",
+        "ladder-short", "ladder-repeated", "ladder-decreasing", "dt-ladder-repeated",
+        "ladder-at-reference", "dt-ladder-at-reference",
     ],
 )
 def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, args, message):

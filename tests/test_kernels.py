@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from oracles import convolve, dense_form_eigenvalues, direct_convolve, kernel_value, quadratic_form
+from oracles import (
+    convolve,
+    dense_form_eigenvalues,
+    direct_convolve,
+    direct_potentials,
+    kernel_value,
+    pair_table,
+    quadratic_form,
+)
 from scipy.special import erf
 
 from crossfv import (
@@ -25,7 +33,7 @@ RNG = np.random.default_rng(1234)
 def unit_mesh(m, d=1):
     """Unit cube mesh with m cells per axis, or the cell counts m as a tuple."""
     cells = m if isinstance(m, tuple) else (m,) * d
-    return build_mesh(MeshSpec(extents=((0.0, 1.0),) * d, cells_per_axis=cells))
+    return build_mesh(MeshSpec(extents=((0.0, 1.0),) * len(cells), cells_per_axis=cells))
 
 
 def single_species(shape, strength=1.0, extension=Extension.PERIODIC_WRAP, q=4):
@@ -42,13 +50,13 @@ def test_constant_kernel_averages_to_constant():
     # Top-hat with R = 1/2 covers the whole unit torus: W == alpha/(2R) == 1.
     mesh = unit_mesh(8)
     kernel = discretize(single_species(TopHat(radius=0.5)), mesh)
-    assert np.allclose(kernel.tables[0, 0], 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(pair_table(kernel, 0, 0), 1.0, rtol=0, atol=1e-14)
 
 
 def test_constant_kernel_2d():
     mesh = unit_mesh(4, d=2)
     kernel = discretize(single_species(TopHat(radius=0.5), strength=3.0), mesh)
-    assert np.allclose(kernel.tables[0, 0], 3.0, rtol=0, atol=1e-13)
+    assert np.allclose(pair_table(kernel, 0, 0), 3.0, rtol=0, atol=1e-13)
 
 
 def _band_area(t1, t2, dx):
@@ -78,7 +86,7 @@ def test_tophat_exact_against_band_area_oracle():
         expected = 0.0
         for img in (-length, 0.0, length):
             expected += _band_area(-radius - (c + img), radius - (c + img), dx) / dx**2
-        assert kernel.tables[0, 0][delta] == pytest.approx(norm * expected, rel=1e-14)
+        assert pair_table(kernel, 0, 0)[delta] == pytest.approx(norm * expected, rel=1e-14)
 
 
 def test_gaussian_quadrature_matches_higher_order():
@@ -89,7 +97,7 @@ def test_gaussian_quadrature_matches_higher_order():
         tables = []
         for q in (4, 8):
             spec = single_species(Gaussian(eps=0.7), extension=Extension.WHOLE_SPACE, q=q)
-            tables.append(discretize(spec, mesh).tables[0, 0])
+            tables.append(pair_table(discretize(spec, mesh), 0, 0))
         return np.max(np.abs(tables[0] - tables[1])) / np.max(np.abs(tables[1]))
 
     g16, g32 = gap(16), gap(32)
@@ -106,7 +114,7 @@ def test_gaussian_cell_average_is_second_order_in_h():
         kernel = discretize(
             single_species(Gaussian(eps=eps), extension=Extension.WHOLE_SPACE, q=6), mesh
         )
-        table = kernel.tables[0, 0]
+        table = pair_table(kernel, 0, 0)
         deltas = np.arange(-(m - 1), m) * mesh.dx[0]
         exact = np.exp(-(deltas**2) / (2 * eps**2)) / np.sqrt(2 * np.pi * eps**2)
         return np.max(np.abs(table - exact))
@@ -118,7 +126,7 @@ def test_gaussian_cell_average_is_second_order_in_h():
 def test_row_sum_matches_torus_integral_tophat():
     mesh = unit_mesh(16)
     kernel = discretize(single_species(TopHat(radius=0.3), strength=2.0), mesh)
-    row = mesh.cell_measure * kernel.tables[0, 0].sum()
+    row = mesh.cell_measure * pair_table(kernel, 0, 0).sum()
     assert row == pytest.approx(2.0, rel=1e-13)
 
 
@@ -129,26 +137,24 @@ def test_row_sum_matches_torus_integral_gaussian():
     eps, alpha = 0.06, 1.5
     mesh = unit_mesh(64)
     kernel = discretize(single_species(Gaussian(eps=eps), strength=alpha, q=8), mesh)
-    row = mesh.cell_measure * kernel.tables[0, 0].sum()
+    row = mesh.cell_measure * pair_table(kernel, 0, 0).sum()
     assert row == pytest.approx(alpha, rel=1e-11)
 
 
 def test_discrete_symmetry_exact():
+    # W_KJ^{ij} = W_JK^{ji}: KernelSpec requires alpha_ij = alpha_ji exactly,
+    # and the unit-strength table is exactly mirror-symmetric, w[d] = w[-d].
     strengths = np.array([[2.0, -1.0], [-1.0, 0.5]])
-    spec = KernelSpec(strengths=strengths, shape=Gaussian(eps=0.8))
-    mesh = unit_mesh(12)
-    kernel = discretize(spec, mesh)
-    for i in range(2):
-        for j in range(2):
-            flipped = np.roll(kernel.tables[j, i][::-1], 1)
-            assert np.array_equal(kernel.tables[i, j], flipped)
-    spec_ws = KernelSpec(
-        strengths=strengths, shape=Gaussian(eps=0.8), extension=Extension.WHOLE_SPACE
-    )
-    kernel_ws = discretize(spec_ws, mesh)
-    for i in range(2):
-        for j in range(2):
-            assert np.array_equal(kernel_ws.tables[i, j], kernel_ws.tables[j, i][::-1])
+    for cells in ((12,), (12, 7)):
+        mesh = unit_mesh(cells)
+        for extension in Extension:
+            spec = KernelSpec(strengths=strengths, shape=Gaussian(eps=0.8), extension=extension)
+            kernel = discretize(spec, mesh)
+            assert np.array_equal(kernel.spec.strengths, kernel.spec.strengths.T)
+            mirrored = np.flip(kernel.table)
+            if extension is Extension.PERIODIC_WRAP:
+                mirrored = np.roll(mirrored, 1, axis=tuple(range(mesh.dim)))
+            assert np.array_equal(kernel.table, mirrored)
 
 
 def test_spec_validation():
@@ -230,7 +236,7 @@ def test_potential_of_constants_is_constant():
     for i in range(2):
         assert np.max(np.abs(p[i] - p[i].flat[0])) <= 1e-12 * abs(p[i].flat[0])
         expected = sum(
-            mesh.cell_measure * kernel.tables[i, j].sum() * c[j] for j in range(2)
+            mesh.cell_measure * pair_table(kernel, i, j).sum() * c[j] for j in range(2)
         )
         assert p[i].flat[0] == pytest.approx(expected, rel=1e-12)
 
@@ -252,8 +258,57 @@ def test_point_mass_reads_off_table():
     fields[0, j0] = 1.0
     p = kernel.potentials(fields)
     for k in range(16):
-        expected = mesh.cell_measure * kernel.tables[0, 0][(k - j0) % 16]
+        expected = mesh.cell_measure * pair_table(kernel, 0, 0)[(k - j0) % 16]
         assert p[0, k] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+MIXED_STRENGTHS = {
+    1: np.array([[-1.5]]),
+    2: np.array([[1.0, -0.7], [-0.7, 2.0]]),
+    3: np.array([[2.0, -0.5, 0.3], [-0.5, -1.0, 0.8], [0.3, 0.8, 0.4]]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(MIXED_STRENGTHS))
+@pytest.mark.parametrize("extension", list(Extension))
+@pytest.mark.parametrize("shape", [Gaussian(eps=0.3), TopHat(radius=0.2)], ids=repr)
+@pytest.mark.parametrize("cells", [(24,), (500,), (12, 10)], ids=str)
+def test_potentials_match_direct_oracle(cells, shape, extension, n):
+    # The bound is relative to the oracle on |alpha| and |fields|, the
+    # size of the sums before any cancellation.
+    mesh = unit_mesh(cells)
+    strengths = MIXED_STRENGTHS[n]
+    rng = np.random.default_rng(n)
+    fields = rng.normal(size=(n,) + mesh.shape)
+    kernel = discretize(KernelSpec(strengths=strengths, shape=shape, extension=extension), mesh)
+    absolute = discretize(
+        KernelSpec(strengths=np.abs(strengths), shape=shape, extension=extension), mesh
+    )
+    scale = float(np.max(direct_potentials(absolute, np.abs(fields))))
+    gap = np.max(np.abs(kernel.potentials(fields) - direct_potentials(kernel, fields)))
+    assert gap <= 1e-14 * scale
+
+
+def test_potentials_one_transform_pair(monkeypatch):
+    # The species are mixed by alpha first, so one batched forward and one
+    # inverse transform serve every species.
+    calls = []
+    for name in ("rfftn", "irfftn"):
+
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    mesh = unit_mesh(16)
+    fields = RNG.random(size=(3,) + mesh.shape)
+    for extension in Extension:
+        spec = KernelSpec(MIXED_STRENGTHS[3], Gaussian(eps=0.3), extension=extension)
+        kernel = discretize(spec, mesh)
+        kernel.potentials(fields)  # computes and caches the table's spectrum
+        calls.clear()
+        kernel.potentials(fields)
+        assert sorted(calls) == ["irfftn", "rfftn"]
 
 
 def test_midpoint_potential_reductions():

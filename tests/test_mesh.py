@@ -16,15 +16,12 @@ def test_unit_interval_derived_quantities():
     m = mesh_1d(4)
     assert m.dx == (0.25,)
     assert m.cell_measure == 0.25
-    assert m.edge_measures == (1.0,)
     assert m.transmissibilities == (4.0,)
 
 
 def test_2d_anisotropic_transmissibilities():
     m = build_mesh(MeshSpec(extents=((0, 1), (0, 1)), cells_per_axis=(2, 4)))
     assert m.cell_measure == pytest.approx(0.125, abs=0)
-    # axis-1 edges: m(sigma) = 0.25/0.5? edge measure = m(K)/dx_l
-    assert m.edge_measures[0] == pytest.approx(0.125 / 0.5)
     assert m.transmissibilities[0] == pytest.approx(0.25 / 0.5)
     assert m.transmissibilities[1] == pytest.approx(0.5 / 0.25)
 
@@ -91,7 +88,7 @@ def test_double_counting_identity():
     total = 0.0
     for _, axis in edges(m):
         ax = axis - 1
-        total += m.edge_measures[ax] * m.dx[ax]
+        total += m.cell_measure / m.dx[ax] * m.dx[ax]  # m(sigma) = m(K)/dx_l
     assert total == pytest.approx(m.dim * m.n_cells * m.cell_measure, rel=1e-14)
 
 

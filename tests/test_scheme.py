@@ -378,7 +378,7 @@ def test_pure_diffusion_decays_to_mean_monotonically():
     u0 = np.maximum(np.zeros((1,) + mesh.shape), TINY)
     u0[0, 8:16] = 1.0
     state = State(k=0, u=u0, mesh=mesh)
-    mean = state.masses()[0] / mesh.volume
+    mean = state.masses()[0] / np.prod([b - a for a, b in mesh.spec.extents])
     dists = [float(np.max(np.abs(state.u - mean)))]
 
     def watch(s, r):
