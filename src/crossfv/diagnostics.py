@@ -45,6 +45,7 @@ class StepReport:
     masses: np.ndarray
     picard_iters: int
     picard_errors: list
+    linear_iters: int
     linear_residual: float
     clamped: int
     min_density: float
@@ -149,6 +150,7 @@ def build_report(
     clamped: int,
     psd_ok: bool | None,
     full: bool,
+    linear_iters: int = 0,
 ) -> StepReport:
     """Step report; with `full`, entropies, productions and verdicts too.
 
@@ -156,6 +158,8 @@ def build_report(
     `prev` from `prev.h_b` when a previous full report set it, and the
     productions from `curr.p` (implicit) or one `coupling_potential` call
     (mid-point): one convolution under mid-point coupling, none otherwise.
+    `linear_iters` is the step's linear iterations summed over sweeps and
+    species.
     """
     report = StepReport(
         step=curr.k,
@@ -163,6 +167,7 @@ def build_report(
         masses=curr.masses(),
         picard_iters=picard_iters,
         picard_errors=list(picard_errors),
+        linear_iters=linear_iters,
         linear_residual=linear_residual,
         clamped=clamped,
         min_density=float(curr.u.min()),
@@ -192,6 +197,7 @@ def report_csv_header(n_species: int) -> str:
     cols = ["step", "time"]
     cols += [f"mass_{i + 1}" for i in range(n_species)]
     cols += ["H_B", "H_R", "fisher", "P_B", "P_R", "X", "picard_iters"]
+    cols += ["linear_iters", "linear_residual", "clamped", "min_density"]
     cols += ["slack_HB", "slack_HR", "slack_fisher", "verdicts"]
     return ",".join(cols)
 
@@ -211,6 +217,10 @@ def report_csv_row(report: StepReport) -> str:
         _fmt(report.p_r),
         _fmt(report.cross),
         str(report.picard_iters),
+        str(report.linear_iters),
+        _fmt(report.linear_residual),
+        str(report.clamped),
+        _fmt(report.min_density),
     ]
     if report.verdicts is None:
         cells += ["nan", "nan", "nan", ""]

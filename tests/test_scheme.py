@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     assembled_fluxes,
     axis_fluxes,
+    bicgstab_polished,
     edge_flux,
     flux_divergence,
     scheme_residual,
@@ -16,9 +19,9 @@ from crossfv import (
     Gaussian,
     KernelSpec,
     LinearSolverConfig,
-    LinearSystem,
     MeshSpec,
     SchemeConfig,
+    SolverFailure,
     State,
     StepFailure,
     TopHat,
@@ -30,6 +33,7 @@ from crossfv import (
     run,
     solve_linear,
 )
+from crossfv import linsolve
 from crossfv.kernels import Extension
 from crossfv.weights import bernoulli_signed
 
@@ -213,6 +217,11 @@ def test_matrix_applies_flux_divergence(cells):
     # Every system shares one read-only stencil pattern.
     assert not system.matrix.indices.flags.writeable
     assert not system.matrix.indptr.flags.writeable
+    if mesh.dim == 1:
+        # The direct 1D solve reads the same slots: it inverts this matrix.
+        sol, _ = solve_linear(system, cfg)
+        residual = system.rhs - system.matrix @ sol
+        assert np.max(np.abs(residual)) <= cfg.linear.rel_tol * np.max(system.rhs)
 
 
 def test_matrix_sign_pattern():
@@ -243,13 +252,12 @@ def test_assemble_rejects_bad_previous_state():
 
 
 def test_identity_system():
-    mesh = mesh_1d(8)
+    # BiCGStab path (dim >= 2 in solve_linear) on a general matrix.
     cfg = base_cfg()
     rhs = RNG.random(8) + 0.5
-    system = LinearSystem(matrix=sp.eye(8, format="csr"), rhs=rhs, mesh=mesh)
-    sol, info = solve_linear(system, cfg)
+    sol, _ = bicgstab_polished(sp.eye(8, format="csr"), rhs, cfg)
     assert np.allclose(sol, rhs, rtol=1e-14)
-    assert info.clamped == 0
+    assert np.count_nonzero(sol <= 0) == 0  # nothing for the clamp
 
 
 def test_indicator_becomes_positive_after_one_step():
@@ -263,20 +271,105 @@ def test_indicator_becomes_positive_after_one_step():
     assert np.all(sol > 0)
 
 
+def test_direct_solve_takes_one_correction_then_fails(monkeypatch):
+    mesh = mesh_1d(32)
+    cfg = base_cfg()
+    system = assemble(RNG.random(mesh.shape) + 0.1, RNG.normal(size=mesh.shape), cfg, mesh)
+    target = cfg.linear.rel_tol * np.max(system.rhs)
+    exact = linsolve.cyclic_tridiagonal
+
+    def off_by(error):
+        # Every solve is off by the relative `error`; one correction leaves error**2.
+        return lambda *args: exact(*args) * (1.0 + error)
+
+    monkeypatch.setattr(linsolve, "cyclic_tridiagonal", off_by(1e-9))
+    _, info = solve_linear(system, cfg)
+    assert info.iterations == 1 and info.residual <= target
+    monkeypatch.setattr(linsolve, "cyclic_tridiagonal", off_by(1e-3))
+    with pytest.raises(SolverFailure) as failure:
+        solve_linear(system, cfg)
+    assert len(failure.value.residual_history) == 2
+    assert failure.value.residual_history[-1] > target
+
+
+def test_1d_polish_runs_on_the_stencil(monkeypatch):
+    # An undershoot within the residual target triggers the positivity
+    # polish, which applies the three-term stencil: no matrix is built.
+    mesh = mesh_1d(64)
+    cfg = base_cfg(dt=0.005)
+    u_prev = np.full(mesh.shape, 1e-200)
+    u_prev[30:34] = 1.0
+    system = assemble(u_prev, np.zeros(mesh.shape), cfg, mesh)
+    exact = linsolve.cyclic_tridiagonal
+
+    def undershoot(*args):
+        x = exact(*args)
+        x[0] = -1e-14 * x.max()
+        return x
+
+    calls = []
+    polish = linsolve.jacobi_positive_polish
+    monkeypatch.setattr(linsolve, "cyclic_tridiagonal", undershoot)
+    monkeypatch.setattr(
+        linsolve, "jacobi_positive_polish", lambda *args: calls.append(1) or polish(*args)
+    )
+    sol, info = solve_linear(system, cfg)
+    assert calls == [1]
+    assert np.all(sol > 0) and info.clamped == 1
+    assert info.residual <= cfg.linear.rel_tol * np.max(system.rhs)
+    assert "matrix" not in vars(system)
+
+
 def test_random_m_matrix_matches_dense_oracle():
+    # BiCGStab path (dim >= 2 in solve_linear) on a general M-matrix.
     n = 64
-    mesh = mesh_1d(n)
     rng = np.random.default_rng(5)
     off = rng.random((n, n)) * (rng.random((n, n)) < 0.1)
     np.fill_diagonal(off, 0.0)
     diag = off.sum(axis=0) + rng.random(n) + 0.5  # strict column dominance
     a = np.diag(diag) - off
     rhs = rng.random(n) + 0.1
-    system = LinearSystem(matrix=sp.csr_matrix(a), rhs=rhs, mesh=mesh)
     cfg = base_cfg(linear=LinearSolverConfig(rel_tol=1e-12, max_iter=20000))
-    sol, _ = solve_linear(system, cfg)
+    sol, _ = bicgstab_polished(sp.csr_matrix(a), rhs, cfg)
     expected = np.linalg.solve(a, rhs)
     assert np.max(np.abs(sol - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(cells=2, peclet=1e3, kappa=1e-3, diffusion_number=10.0,
+         weight=WeightKind.BERNOULLI, seed=0)
+@example(cells=512, peclet=1e3, kappa=1.0, diffusion_number=10.0,
+         weight=WeightKind.SIGMOID, seed=1)
+@given(
+    cells=st.integers(min_value=2, max_value=512),
+    peclet=st.floats(min_value=0.0, max_value=1e3),
+    kappa=st.floats(min_value=1e-3, max_value=1.0),
+    diffusion_number=st.floats(min_value=1e-2, max_value=10.0),
+    weight=st.sampled_from(list(WeightKind)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_direct_solve_of_assembled_1d_systems(cells, peclet, kappa, diffusion_number, weight, seed):
+    # Transport systems with |Dp|/kappa up to `peclet` and right-hand sides
+    # spread log-uniformly down to the smallest normal float.
+    rng = np.random.default_rng(seed)
+    mesh = mesh_1d(cells)
+    dt = diffusion_number * mesh.dx[0] ** 2 / kappa
+    cfg = base_cfg(kappa=kappa, dt=dt, t_end=dt, weight=weight)
+    u_prev = TINY ** rng.random(cells) / (mesh.cell_measure / cfg.dt)
+    u_prev[rng.integers(cells)] = 1.0
+    p = np.cumsum(rng.uniform(-1.0, 1.0, cells))
+    p *= peclet * kappa / max(float(np.abs(np.roll(p, -1) - p).max()), TINY)
+    system = assemble(u_prev, p, cfg, mesh)
+    sol, info = solve_linear(system, cfg)
+    assert "matrix" not in vars(system)  # the 1D solve builds no matrix
+    target = cfg.linear.rel_tol * float(np.abs(system.rhs).max())
+    a = system.matrix.toarray()
+    assert info.residual <= target and info.iterations == 0  # no correction step needed
+    assert float(np.abs(system.rhs - a @ sol).max()) <= target
+    assert np.all(sol > 0)
+    mass, mass_prev = mesh.cell_measure * np.sum(sol), mesh.cell_measure * np.sum(u_prev)
+    assert abs(mass - mass_prev) <= 1e-13 * mass_prev
+    assert np.max(np.abs(sol - np.linalg.solve(a, system.rhs))) <= 1e-10 * np.max(sol)
 
 
 # ---------------------------------------------------------------------------
