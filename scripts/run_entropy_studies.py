@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the repulsive and attractive entropy-evolution studies.
 
-Emits per-step entropy trajectories and prints whether the per-step
-structure checks held: for the repulsive Gaussian pair all three gating
-inequalities must pass, while the attractive top-hat run keeps its
-interaction energy non-increasing step by step.
+Writes each run's per-step entropy trajectory (the H_B and H_R columns of
+its report.csv) and prints whether the per-step structure checks held: for
+the repulsive Gaussian pair all three gating inequalities must pass, while
+the attractive top-hat run keeps its interaction energy non-increasing step
+by step.
 """
 
 import argparse

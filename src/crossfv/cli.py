@@ -11,7 +11,7 @@ import dataclasses
 import logging
 import sys
 
-from .errors import ConfigurationError, CrossFVError, SolverFailure, StepFailure
+from .errors import ConfigurationError, CrossFVError, StepFailure
 from .harness import _build_problem, _kernel_reports, parse_config, run_experiment
 
 
@@ -25,7 +25,6 @@ _MODE_BY_COMMAND = {
     "run": "run",
     "converge-space": "converge_space",
     "converge-time": "converge_time",
-    "entropy": "entropy",
 }
 
 
@@ -63,7 +62,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (StepFailure, SolverFailure) as exc:
+    except StepFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except CrossFVError as exc:

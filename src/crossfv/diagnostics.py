@@ -9,16 +9,14 @@ from-scratch references it is tested against are in `tests/oracles.py`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import UsageError
 from .kernels import DiscreteKernel
+from .mesh import axis_difference, roll
+from .scheme import Coupling, SchemeConfig, State, coupling_potential
 from .weights import eval_B_kappa
-
-if TYPE_CHECKING:
-    from .scheme import SchemeConfig, State
 
 
 @dataclass
@@ -58,7 +56,7 @@ class StepReport:
     verdicts: dict | None = None
 
 
-def entropy_boltzmann(state: "State") -> float:
+def entropy_boltzmann(state: State) -> float:
     """sum_i sum_K m(K) u (log u - 1); requires strictly positive cells."""
     u = state.u
     if np.any(u <= 0):
@@ -66,12 +64,12 @@ def entropy_boltzmann(state: "State") -> float:
     return float(state.mesh.cell_measure * np.sum(u * (np.log(u) - 1.0)))
 
 
-def _rao(state: "State", p: np.ndarray) -> float:
+def _rao(state: State, p: np.ndarray) -> float:
     """H_R = (1/2) sum m(K) u p from the state's potential p = W*u."""
     return float(0.5 * state.mesh.cell_measure * np.sum(state.u * p))
 
 
-def productions(state: "State", p: np.ndarray, cfg: "SchemeConfig") -> ProductionTerms:
+def productions(state: State, p: np.ndarray, cfg: SchemeConfig) -> ProductionTerms:
     """Entropy production terms of one step evaluated at (u, p).
 
     The Boltzmann production carries one factor of the scaled weight:
@@ -84,13 +82,13 @@ def productions(state: "State", p: np.ndarray, cfg: "SchemeConfig") -> Productio
     mesh = state.mesh
     root = np.sqrt(u)
     p_b = p_r = cross = fisher = 0.0
-    for axis in range(mesh.dim):
-        tau = mesh.tau(axis)
-        ax = axis + 1
-        du = np.roll(u, -1, axis=ax) - u
-        dp = np.roll(p, -1, axis=ax) - p
-        droot = np.roll(root, -1, axis=ax) - root
-        upwind = np.where(dp >= 0, np.roll(u, -1, axis=ax), u)
+    for axis in range(1, mesh.dim + 1):  # axis 0 is the species
+        tau = mesh.tau(axis - 1)
+        u_next = roll(u, -1, axis)
+        du = u_next - u
+        dp = axis_difference(p, axis)
+        droot = axis_difference(root, axis)
+        upwind = np.where(dp >= 0, u_next, u)
         bk = eval_B_kappa(cfg.weight, cfg.kappa, np.abs(dp))
         p_b += 4.0 * tau * float(np.sum(bk * droot * droot))
         p_r += tau * float(np.sum(upwind * dp * dp))
@@ -99,14 +97,14 @@ def productions(state: "State", p: np.ndarray, cfg: "SchemeConfig") -> Productio
     return ProductionTerms(p_b=p_b, p_r=p_r, cross=cross, fisher=fisher)
 
 
-def tolerance_scale(cfg: "SchemeConfig", h_b: float, h_r: float) -> float:
+def tolerance_scale(cfg: SchemeConfig, h_b: float, h_r: float) -> float:
     """First-order propagation of solver truncation into entropy differences."""
     base = cfg.picard_tol / cfg.dt + cfg.linear.rel_tol
     return 100.0 * base * max(1.0, abs(h_b), abs(h_r))
 
 
 def _verdicts(
-    terms: ProductionTerms, prev_h: tuple, curr_h: tuple, cfg: "SchemeConfig", psd_ok
+    terms: ProductionTerms, prev_h: tuple, curr_h: tuple, cfg: SchemeConfig, psd_ok
 ) -> dict:
     """The three verdicts from the step's productions and (H_B, H_R) pairs.
 
@@ -115,8 +113,6 @@ def _verdicts(
     The Rao check is only gating for mid-point coupling or a positively
     verified kernel; the other two hold for every built-in weight.
     """
-    from .scheme import Coupling
-
     h_b_prev, h_r_prev = prev_h
     h_b_curr, h_r_curr = curr_h
     tol = tolerance_scale(cfg, h_b_curr, h_r_curr)
@@ -140,10 +136,10 @@ def _verdicts(
 
 
 def build_report(
-    prev: "State",
-    curr: "State",
+    prev: State,
+    curr: State,
     kernel: DiscreteKernel,
-    cfg: "SchemeConfig",
+    cfg: SchemeConfig,
     picard_iters: int,
     picard_errors: list,
     linear_residual: float,
@@ -173,8 +169,6 @@ def build_report(
         min_density=float(curr.u.min()),
     )
     if full:
-        from .scheme import Coupling, coupling_potential
-
         if prev.p is None or curr.p is None:
             raise UsageError("a full report needs the potential State.p of both states")
         p = curr.p

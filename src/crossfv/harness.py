@@ -4,9 +4,8 @@ A single JSON document describes one experiment (mesh, kernel, scheme,
 initial data, mode and refinement ladders). Modes:
 
   run            -- time-step once, emit per-step reports and snapshots
-  entropy        -- run plus a slim entropy-trajectory CSV
-  converge_space -- mesh ladder against a shared fine reference, fixed dt
-  converge_time  -- dt ladder on a fixed mesh against a fine-dt reference
+  converge_space -- mesh ladder at fixed dt against the configured mesh
+  converge_time  -- dt ladder on a fixed mesh against the configured dt
 
 All floating-point output is printed with 17 significant digits and every
 reduction runs in a fixed order, so outputs are bit-identical across runs.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .errors import ConfigurationError, CrossFVError, StepFailure, UsageError
+from .errors import ConfigurationError, StepFailure, UsageError
 from .initial import BoxIC, ConstantIC, TrigIC, parse_descriptor, project_initial
 from .kernels import (
     DiscreteKernel,
@@ -38,8 +37,6 @@ from .kernels import (
 )
 from .mesh import Mesh, MeshSpec, build_mesh
 from .scheme import (
-    MAX_STEPS,
-    Coupling,
     LinearSolverConfig,
     RunSummary,
     SchemeConfig,
@@ -50,7 +47,7 @@ from .scheme import (
 logger = logging.getLogger(__name__)
 
 _TINY = float(np.finfo(float).tiny)
-_MODES = ("run", "entropy", "converge_space", "converge_time")
+_MODES = ("run", "converge_space", "converge_time")
 
 
 @dataclass
@@ -61,10 +58,8 @@ class ExperimentConfig:
     scheme: SchemeConfig
     initial: list
     mode: str = "run"
-    space_ladder: list | None = None
-    reference_cells: int | None = None
-    dt_ladder_divisors: list | None = None
-    reference_dt_divisor: int | None = None
+    space_ladder: list = dataclasses.field(default_factory=list)
+    dt_ladder_divisors: list = dataclasses.field(default_factory=list)
     snapshot_times: list = dataclasses.field(default_factory=list)
     diagnostics_every: int = 1
     out_dir: str | None = None
@@ -81,25 +76,15 @@ class ExperimentConfig:
         if self.mode in ("converge_space", "converge_time") and self.snapshot_times:
             raise ConfigurationError(f"snapshot_times are not written in mode {self.mode}")
         if self.mode == "converge_space":
-            if not self.space_ladder or self.reference_cells is None:
+            cells = self.mesh.cells_per_axis
+            if len(set(cells)) != 1:
                 raise ConfigurationError(
-                    "converge_space needs space_ladder and reference_cells"
+                    f"converge_space refines to mesh.cells, which must be the same on every "
+                    f"axis, got {list(cells)}"
                 )
-            _check_ladder("space_ladder", self.space_ladder, self.reference_cells)
-            for cells in self.space_ladder:
-                _nesting_factor(int(self.reference_cells), int(cells))
+            _check_ladder("space_ladder", self.space_ladder, cells[0])
         if self.mode == "converge_time":
-            if not self.dt_ladder_divisors or self.reference_dt_divisor is None:
-                raise ConfigurationError(
-                    "converge_time needs dt_ladder_divisors and reference_dt_divisor"
-                )
-            _check_ladder("dt_ladder_divisors", self.dt_ladder_divisors, self.reference_dt_divisor)
-            if int(self.reference_dt_divisor) > MAX_STEPS:
-                raise ConfigurationError(
-                    f"step budget exceeded: {self.reference_dt_divisor} steps > {MAX_STEPS}"
-                )
-            for div in self.dt_ladder_divisors:
-                _nesting_factor(int(self.reference_dt_divisor), int(div))
+            _check_ladder("dt_ladder_divisors", self.dt_ladder_divisors, self.scheme.n_steps)
         dt, n_steps = self.scheme.dt, self.scheme.n_steps
         for t in self.snapshot_times:
             steps = t / dt
@@ -122,33 +107,42 @@ def _check_ladder(name: str, ladder: list, reference: int) -> None:
 
     The fit needs at least 3 entries, strictly increasing and below the
     reference: an entry equal to the reference has zero error and drops out.
+    Each entry must nest under the reference by a power of two (exact
+    coarsening).
     """
-    values = [int(v) for v in ladder] + [int(reference)]
+    values = list(ladder) + [reference]
     if len(values) < 4 or any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigurationError(
             f"{name} needs at least 3 strictly increasing entries below the reference "
             f"{reference}, got {ladder}"
         )
+    for coarse in ladder:
+        if coarse < 1 or reference % coarse != 0:
+            raise ConfigurationError(f"{coarse} does not nest under reference {reference}")
+        factor = reference // coarse
+        if factor & (factor - 1):
+            raise ConfigurationError(f"refinement factor {factor} is not a power of two")
 
 
-def _nesting_factor(fine: int, coarse: int) -> int:
-    """Ratio fine/coarse, required to be a power of two (exact coarsening)."""
-    if coarse < 1 or fine % coarse != 0:
-        raise ConfigurationError(f"{coarse} does not nest under reference {fine}")
-    factor = fine // coarse
-    if factor & (factor - 1):
-        raise ConfigurationError(f"refinement factor {factor} is not a power of two")
-    return factor
+def _integer(value, key: str) -> int:
+    """An integer config value; a fraction is an error, never truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def parse_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or a parsed dict."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source) as handle:
-            try:
+        try:
+            with open(source) as handle:
                 raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     else:
         raw = dict(source)
     try:
@@ -158,9 +152,11 @@ def parse_config(source) -> ExperimentConfig:
             fields = _DATUM_KEYS.get(dict(datum).get("type"))
             if fields is not None:  # an unknown type is reported by parse_descriptor
                 _reject_unknown(datum, fields | {"type"}, f"initial[{index}].")
+                for k in datum.get("modes", ()):
+                    _integer(k, f"initial[{index}].modes")
         mesh = MeshSpec(
             extents=tuple(tuple(e) for e in raw["mesh"]["extents"]),
-            cells_per_axis=tuple(raw["mesh"]["cells"]),
+            cells_per_axis=tuple(_integer(m, "mesh.cells") for m in raw["mesh"]["cells"]),
         )
         kernel = _parse_kernel(raw["kernel"])
         scheme = _parse_scheme(raw["scheme"])
@@ -172,14 +168,14 @@ def parse_config(source) -> ExperimentConfig:
             scheme=scheme,
             initial=initial,
             mode=str(raw.get("mode", "run")),
-            space_ladder=raw.get("space_ladder"),
-            reference_cells=raw.get("reference_cells"),
-            dt_ladder_divisors=raw.get("dt_ladder_divisors"),
-            reference_dt_divisor=raw.get("reference_dt_divisor"),
+            space_ladder=[_integer(m, "space_ladder") for m in raw.get("space_ladder", [])],
+            dt_ladder_divisors=[
+                _integer(d, "dt_ladder_divisors") for d in raw.get("dt_ladder_divisors", [])
+            ],
             snapshot_times=list(raw.get("snapshot_times", [])),
-            diagnostics_every=int(raw.get("diagnostics_every", 1)),
+            diagnostics_every=_integer(raw.get("diagnostics_every", 1), "diagnostics_every"),
             out_dir=raw.get("out_dir"),
-            threads=int(raw.get("threads", 1)),
+            threads=_integer(raw.get("threads", 1), "threads"),
         )
     except KeyError as exc:
         raise ConfigurationError(f"config is missing required key {exc}") from exc
@@ -189,8 +185,8 @@ def parse_config(source) -> ExperimentConfig:
 
 _TOP_KEYS = {
     "name", "description", "mesh", "kernel", "scheme", "initial", "mode",
-    "space_ladder", "reference_cells", "dt_ladder_divisors", "reference_dt_divisor",
-    "snapshot_times", "diagnostics_every", "out_dir", "threads",
+    "space_ladder", "dt_ladder_divisors", "snapshot_times", "diagnostics_every",
+    "out_dir", "threads",
 }
 _MESH_KEYS = {"extents", "cells"}
 _KERNEL_KEYS = {"shape", "strengths", "extension", "quadrature_order"}
@@ -230,7 +226,7 @@ def _parse_kernel(raw: dict) -> KernelSpec:
         strengths=np.asarray(raw["strengths"], dtype=float),
         shape=shape,
         extension=Extension(raw.get("extension", "periodic_wrap")),
-        quadrature_order=int(raw.get("quadrature_order", 4)),
+        quadrature_order=_integer(raw.get("quadrature_order", 4), "kernel.quadrature_order"),
     )
 
 
@@ -240,14 +236,14 @@ def _parse_scheme(raw: dict) -> SchemeConfig:
     if "dt" in raw:
         dt = float(raw["dt"])
     elif "dt_divisor" in raw:
-        dt = t_end / int(raw["dt_divisor"])
+        dt = t_end / _integer(raw["dt_divisor"], "scheme.dt_divisor")
     else:
         raise ConfigurationError("scheme needs dt or dt_divisor")
     lin_raw = raw.get("linear_solver", {})
     _reject_unknown(lin_raw, _LINEAR_KEYS, "scheme.linear_solver.")
     linear = LinearSolverConfig(
         rel_tol=float(lin_raw.get("rel_tol", 1e-12)),
-        max_iter=int(lin_raw.get("max_iter", 10000)),
+        max_iter=_integer(lin_raw.get("max_iter", 10000), "scheme.linear_solver.max_iter"),
     )
     return SchemeConfig(
         kappa=float(raw["kappa"]),
@@ -256,7 +252,7 @@ def _parse_scheme(raw: dict) -> SchemeConfig:
         weight=raw.get("weight", "bernoulli"),
         coupling=raw.get("coupling", "implicit"),
         picard_tol=float(raw.get("picard_tol", 1e-10)),
-        picard_max_iter=int(raw.get("picard_max_iter", 200)),
+        picard_max_iter=_integer(raw.get("picard_max_iter", 200), "scheme.picard_max_iter"),
         linear=linear,
     )
 
@@ -317,21 +313,22 @@ def fit_rate(resolutions, errors) -> tuple:
 
 @dataclass
 class ErrorTable:
+    """Per-resolution errors per species and their fitted orders (see `fit_rate`)."""
+
     kind: str  # 'space' | 'time'
     resolutions: list
     linf: np.ndarray  # (rows, n_species)
     l1: np.ndarray
-    orders_linf: np.ndarray = None
-    orders_l1: np.ndarray = None
-    last_orders_linf: np.ndarray = None
-    last_orders_l1: np.ndarray = None
+    orders_linf: np.ndarray = dataclasses.field(init=False)
+    orders_l1: np.ndarray = dataclasses.field(init=False)
+    last_orders_linf: np.ndarray = dataclasses.field(init=False)
+    last_orders_l1: np.ndarray = dataclasses.field(init=False)
 
-    def fit(self):
+    def __post_init__(self):
         linf = np.array([fit_rate(self.resolutions, col) for col in self.linf.T])
         l1 = np.array([fit_rate(self.resolutions, col) for col in self.l1.T])
         self.orders_linf, self.last_orders_linf = linf[:, 0], linf[:, 1]
         self.orders_l1, self.last_orders_l1 = l1[:, 0], l1[:, 1]
-        return self
 
 
 def dominant_mode(field: np.ndarray) -> tuple:
@@ -452,15 +449,14 @@ def _write_error_table(path: str, table: ErrorTable, n_species: int) -> None:
             for i in range(n_species):
                 cells += [f"{table.linf[row, i]:.17g}", f"{table.l1[row, i]:.17g}"]
             handle.write(",".join(cells) + "\n")
-        if table.orders_linf is not None:
-            for name, linf_vals, l1_vals in (
-                ("order_ls", table.orders_linf, table.orders_l1),
-                ("order_last", table.last_orders_linf, table.last_orders_l1),
-            ):
-                cells = [name]
-                for i in range(n_species):
-                    cells += [f"{linf_vals[i]:.17g}", f"{l1_vals[i]:.17g}"]
-                handle.write(",".join(cells) + "\n")
+        for name, linf_vals, l1_vals in (
+            ("order_ls", table.orders_linf, table.orders_l1),
+            ("order_last", table.last_orders_linf, table.last_orders_l1),
+        ):
+            cells = [name]
+            for i in range(n_species):
+                cells += [f"{linf_vals[i]:.17g}", f"{l1_vals[i]:.17g}"]
+            handle.write(",".join(cells) + "\n")
 
 
 def _write_summary(out_dir: str | None, summary: dict, files: list) -> None:
@@ -477,7 +473,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute one experiment; writes artifact files when out_dir is set."""
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-    if cfg.mode in ("run", "entropy"):
+    if cfg.mode == "run":
         return _run_mode(cfg)
     return _converge(cfg)
 
@@ -522,11 +518,10 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
         summary["failure_picard_errors"] = exc.error_history
         summary["failure_linear_residuals"] = exc.residual_history
         _write_summary(cfg.out_dir, summary, files)
+        raise
+    finally:
         if writer is not None:
             writer.close()
-        raise
-    if writer is not None:
-        writer.close()
 
     gated_failures = 0
     rao_non_increasing = True
@@ -554,16 +549,6 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
             ],
         }
     )
-    if cfg.mode == "entropy" and cfg.out_dir is not None:
-        path = os.path.join(cfg.out_dir, "entropy.csv")
-        with open(path, "w") as handle:
-            handle.write("step,time,H_B,H_R\n")
-            for report in run_summary.reports:
-                handle.write(
-                    f"{report.step},{report.time:.17g},"
-                    f"{report.h_boltzmann:.17g},{report.h_rao:.17g}\n"
-                )
-        files.append(path)
     _write_summary(cfg.out_dir, summary, files)
     return ExperimentResult(
         name=cfg.name,
@@ -584,10 +569,7 @@ def _run_ladder(cfg: ExperimentConfig, jobs: list) -> list:
     if cfg.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             futures = [pool.submit(_solve_final_state, cfg, **job) for job in jobs]
-            results = []
-            for future in futures:
-                results.append(future.result())
-            return results
+            return [future.result() for future in futures]
     return [_solve_final_state(cfg, **job) for job in jobs]
 
 
@@ -599,26 +581,28 @@ def _structure_summary(summaries: list) -> dict:
 
 
 def _converge(cfg: ExperimentConfig) -> ExperimentResult:
-    """Ladder of coarse solves against the last, finest one; the mode picks the ladder.
+    """Ladder of coarse solves against the configured problem; the mode picks the ladder.
 
-    Space refines the mesh at fixed dt, time refines dt on a fixed mesh. The
-    reference is averaged onto each coarse mesh, which in time is its own.
+    Space coarsens the mesh at the configured dt, time coarsens dt on the
+    configured mesh. The last solve, the reference, is the configured
+    problem itself (`mesh.cells`, `scheme.dt`); it is averaged onto each
+    coarse mesh, which in time is its own.
     """
     if cfg.mode == "converge_space":
         kind = "space"
-        ladder = [int(c) for c in cfg.space_ladder] + [int(cfg.reference_cells)]
+        ladder = cfg.space_ladder
         jobs = [{"cells": cells} for cells in ladder]
         scale = cfg.mesh.extents[0][1] - cfg.mesh.extents[0][0]
     else:
         kind = "time"
-        ladder = [int(d) for d in cfg.dt_ladder_divisors] + [int(cfg.reference_dt_divisor)]
+        ladder = cfg.dt_ladder_divisors
         scale = cfg.scheme.t_end
         jobs = [{"dt": scale / div} for div in ladder]
-    summaries = _run_ladder(cfg, jobs)
+    summaries = _run_ladder(cfg, jobs + [{}])
     ref_u = summaries[-1].final_state.u
     n = cfg.kernel.n_species
-    rows_linf = np.zeros((len(ladder) - 1, n))
-    rows_l1 = np.zeros((len(ladder) - 1, n))
+    rows_linf = np.zeros((len(ladder), n))
+    rows_l1 = np.zeros((len(ladder), n))
     for row, summary in enumerate(summaries[:-1]):
         mesh = summary.final_state.mesh
         for i in range(n):
@@ -626,8 +610,8 @@ def _converge(cfg: ExperimentConfig) -> ExperimentResult:
             norms = error_norms(summary.final_state.u[i], ref, mesh)
             rows_linf[row, i] = norms["Linf"]
             rows_l1[row, i] = norms["L1"]
-    resolutions = [scale / m for m in ladder[:-1]]
-    table = ErrorTable(kind=kind, resolutions=resolutions, linf=rows_linf, l1=rows_l1).fit()
+    resolutions = [scale / m for m in ladder]
+    table = ErrorTable(kind=kind, resolutions=resolutions, linf=rows_linf, l1=rows_l1)
     files: list = []
     summary = {
         "name": cfg.name,

@@ -80,6 +80,8 @@ class KernelSpec:
         self.strengths = np.asarray(self.strengths, dtype=float)
         if self.strengths.ndim != 2 or self.strengths.shape[0] != self.strengths.shape[1]:
             raise ConfigurationError("strength matrix must be square")
+        if not np.all(np.isfinite(self.strengths)):
+            raise ConfigurationError("kernel strengths must be finite")
         if not np.array_equal(self.strengths, self.strengths.T):
             raise ConfigurationError("strength matrix must be exactly symmetric")
         self.extension = Extension(self.extension)

@@ -2,7 +2,8 @@
 
 Cells are identical hyper-rectangles, stored as row-major arrays of shape
 `Mesh.shape` with periodic wraparound on every axis. The edges of one axis
-share one transmissibility.
+share one transmissibility. `roll` and `axis_difference` are the periodic
+neighbor shift and edge difference on such arrays.
 """
 
 from __future__ import annotations
@@ -85,3 +86,21 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     # 1D where the codimension-1 measure degenerates.
     transmissibilities = tuple(cell_measure / h / h for h in dx)
     return Mesh(spec=spec, dx=dx, cell_measure=cell_measure, transmissibilities=transmissibilities)
+
+
+def roll(values: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """np.roll(values, shift, axis) by two slices.
+
+    np.roll's generic set-up costs several times the copy on the mesh
+    sizes of the recipes; assembly and the production terms roll every
+    axis on each call.
+    """
+    head = (slice(None),) * axis
+    return np.concatenate(
+        (values[head + (slice(-shift, None),)], values[head + (slice(None, -shift),)]), axis=axis
+    )
+
+
+def axis_difference(values: np.ndarray, axis: int) -> np.ndarray:
+    """Owner-side difference to the +axis neighbor, D_K = v_{K+e} - v_K."""
+    return roll(values, -1, axis) - values

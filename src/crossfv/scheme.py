@@ -21,9 +21,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linsolve
-from .errors import ConfigurationError, NumericalStateError, SolverFailure, StepFailure, UsageError
+from .errors import (
+    ConfigurationError, CrossFVError, NumericalStateError, SolverFailure, StepFailure, UsageError
+)
 from .kernels import DiscreteKernel
-from .mesh import Mesh
+from .mesh import Mesh, axis_difference, roll
 from .weights import WeightKind, eval_B_kappa
 
 _TINY = float(np.finfo(float).tiny)
@@ -41,7 +43,7 @@ class LinearSolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.max_iter < 1:
+        if not self.rel_tol > 0 or self.max_iter < 1:
             raise ConfigurationError("linear solver tolerances must be positive")
 
 
@@ -59,8 +61,8 @@ class SchemeConfig:
     def __post_init__(self):
         self.weight = WeightKind(self.weight)
         self.coupling = Coupling(self.coupling)
-        if self.kappa <= 0:
-            raise ConfigurationError(f"diffusion coefficient must be positive, got {self.kappa}")
+        if not 0 < self.kappa < np.inf:
+            raise ConfigurationError(f"kappa must be positive and finite, got {self.kappa}")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigurationError("time step and end time must be positive")
         steps = self.t_end / self.dt
@@ -70,7 +72,7 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"time step {self.dt} does not divide end time {self.t_end}"
             )
-        if self.picard_tol <= 0 or self.picard_max_iter < 1:
+        if not self.picard_tol > 0 or self.picard_max_iter < 1:
             raise ConfigurationError("Picard tolerances must be positive")
 
     @property
@@ -131,23 +133,6 @@ class SolveInfo:
     clamped: int
 
 
-def _roll(values: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """np.roll(values, shift, axis) by two slices.
-
-    np.roll's generic set-up costs several times the copy on the mesh
-    sizes of the recipes, and `assemble` rolls three times per call.
-    """
-    head = (slice(None),) * axis
-    return np.concatenate(
-        (values[head + (slice(-shift, None),)], values[head + (slice(None, -shift),)]), axis=axis
-    )
-
-
-def axis_difference(values: np.ndarray, axis: int) -> np.ndarray:
-    """Owner-side difference to the +axis neighbor, D_K = v_{K+e} - v_K."""
-    return _roll(values, -1, axis) - values
-
-
 @functools.lru_cache(maxsize=32)
 def _csr_pattern(mesh: Mesh) -> tuple:
     """Column indices and row pointers of the (2d+1)-point periodic stencil.
@@ -200,8 +185,8 @@ def assemble(u_prev_i: np.ndarray, p_i: np.ndarray, cfg: SchemeConfig, mesh: Mes
         tau = mesh.tau(axis)
         g_plus = tau * (bk + np.maximum(dp, 0.0))
         g_minus = tau * (bk + np.maximum(-dp, 0.0))
-        diag += g_minus + _roll(g_plus, 1, axis)
-        slots += [-g_plus, -_roll(g_minus, 1, axis)]
+        diag += g_minus + roll(g_plus, 1, axis)
+        slots += [-g_plus, -roll(g_minus, 1, axis)]
     rhs = m_over_dt * u_prev_i.ravel()
     return LinearSystem(slots=tuple(slots), rhs=rhs, mesh=mesh)
 
@@ -377,7 +362,10 @@ def run(
     diagnostics_every: int = 1,
     psd_ok: bool | None = None,
 ) -> RunSummary:
-    """Advance N = round(t_end/dt) steps, invoking observers per step."""
+    """Advance N = round(t_end/dt) steps, invoking observers per step.
+
+    Any solver error in a step is raised as a StepFailure with its index.
+    """
     n_steps = cfg.n_steps
     state = initial
     reports = []
@@ -389,10 +377,11 @@ def run(
         full = diagnostics_every > 0 and (k % diagnostics_every == 0 or k == n_steps)
         try:
             state, report = advance(state, kernel, cfg, psd_ok, compute_diagnostics=full)
-        except StepFailure as exc:
+        except CrossFVError as exc:  # a StepFailure from advance carries its histories
             raise StepFailure(
                 f"step {k}/{n_steps} failed: {exc}", step_index=k,
-                error_history=exc.error_history, residual_history=exc.residual_history,
+                error_history=getattr(exc, "error_history", None),
+                residual_history=getattr(exc, "residual_history", None),
             ) from exc
         drift = float(np.max(np.abs(state.masses() - masses0) / mass_scale))
         max_drift = max(max_drift, drift)

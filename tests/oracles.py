@@ -30,7 +30,8 @@ import numpy as np
 from crossfv import Extension, UsageError, entropy_boltzmann, linsolve, productions
 from crossfv.diagnostics import _rao, _verdicts
 from crossfv.kernels import _fft_apply, _spectrum
-from crossfv.scheme import axis_difference, coupling_potential
+from crossfv.mesh import axis_difference
+from crossfv.scheme import coupling_potential
 from crossfv.weights import eval_B_kappa
 
 

@@ -228,6 +228,16 @@ def tiny_config(tmp_path, **overrides):
     return path
 
 
+def mesh_cells(*cells):
+    """The mesh override of tiny_config with the given cells per axis."""
+    return {"mesh": {"extents": [[0.0, 1.0]] * len(cells), "cells": list(cells)}}
+
+
+def dt_divisor(divisor, **scheme):
+    """The scheme override of tiny_config with dt = t_end / divisor."""
+    return {"scheme": {"kappa": 0.05, "t_end": 0.05, "dt_divisor": divisor, **scheme}}
+
+
 def test_parse_config_roundtrip(tmp_path):
     cfg = parse_config(tiny_config(tmp_path))
     assert cfg.name == "tiny"
@@ -272,6 +282,12 @@ def test_parse_config_rejects_unknown_keys(tmp_path, capsys, section, key, path)
     bad.write_text(json.dumps(raw))
     assert cli_main(["run", "--config", str(bad)]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_every_recipe_parses_to_a_known_mode():
+    modes = {path.stem: parse_config(path).mode for path in CONFIG_DIR.glob("*.json")}
+    assert len(modes) == 10
+    assert set(modes.values()) == {"run", "converge_space", "converge_time"}
 
 
 def test_recipes_and_benchmark_configs_parse(tmp_path, monkeypatch):
@@ -352,12 +368,7 @@ print(json.dumps([m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys
 
 def test_converge_space_monotone_errors(tmp_path):
     cfg = parse_config(
-        tiny_config(
-            tmp_path,
-            mode="converge_space",
-            space_ladder=[8, 16, 32],
-            reference_cells=128,
-        )
+        tiny_config(tmp_path, mode="converge_space", space_ladder=[8, 16, 32], **mesh_cells(128))
     )
     result = run_experiment(cfg)
     l1 = result.error_table.l1[:, 0]
@@ -367,9 +378,7 @@ def test_converge_space_monotone_errors(tmp_path):
 def test_converge_space_rejects_bad_ladder(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(
-            tiny_config(
-                tmp_path, mode="converge_space", space_ladder=[12], reference_cells=128
-            )
+            tiny_config(tmp_path, mode="converge_space", space_ladder=[12], **mesh_cells(128))
         )
 
 
@@ -377,9 +386,7 @@ def test_threaded_ladder_matches_serial(tmp_path):
     import dataclasses
 
     base = parse_config(
-        tiny_config(
-            tmp_path, mode="converge_space", space_ladder=[8, 16, 32], reference_cells=64
-        )
+        tiny_config(tmp_path, mode="converge_space", space_ladder=[8, 16, 32], **mesh_cells(64))
     )
     serial = run_experiment(base)
     threaded = run_experiment(dataclasses.replace(base, threads=3))
@@ -416,10 +423,9 @@ def test_step_budget_rejected_before_any_output(tmp_path, capsys):
     assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert "step budget exceeded" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
-    # The time ladder's reference step is checked at parse time too.
+    # The time ladder's reference step is the configured one, checked the same way.
     path = tiny_config(
-        tmp_path, mode="converge_time", dt_ladder_divisors=[4, 8, 16],
-        reference_dt_divisor=2**24,
+        tmp_path, mode="converge_time", dt_ladder_divisors=[4, 8, 16], **dt_divisor(2**24)
     )
     assert cli_main(["converge-time", "--config", str(path), "--out", str(out)]) == 2
     assert "step budget exceeded" in capsys.readouterr().err
@@ -427,16 +433,23 @@ def test_step_budget_rejected_before_any_output(tmp_path, capsys):
 
 
 LADDER = "at least 3 strictly increasing entries"
+INTEGER = "must be an integer"
 
 
 def space_ladder(cells, reference):
-    return {"mode": "converge_space", "space_ladder": cells, "reference_cells": reference}
+    return {"mode": "converge_space", "space_ladder": cells, **mesh_cells(reference)}
 
 
 def time_ladder(divisors, reference):
-    return {
-        "mode": "converge_time", "dt_ladder_divisors": divisors, "reference_dt_divisor": reference
-    }
+    return {"mode": "converge_time", "dt_ladder_divisors": divisors, **dt_divisor(reference)}
+
+
+def trig(modes):
+    return {"initial": [{"type": "trig", "fn": "sin", "modes": modes, "offset": 1.0}]}
+
+
+def strengths(value):
+    return {"kernel": {"shape": "gaussian", "eps": 0.5, "strengths": [[value]]}}
 
 
 @pytest.mark.parametrize(
@@ -450,16 +463,8 @@ def time_ladder(divisors, reference):
         ({"diagnostics_every": -1}, [], "diagnostics_every"),
         ({"threads": 0}, [], "threads"),
         ({}, ["--threads", "0"], "threads"),
-        (
-            {"mode": "converge_space", "space_ladder": [4, 8, 16], "reference_cells": 32,
-             "snapshot_times": [0.05]},
-            [], "snapshot_times",
-        ),
-        (
-            {"mode": "converge_time", "dt_ladder_divisors": [1, 2, 4], "reference_dt_divisor": 8,
-             "snapshot_times": [0.05]},
-            [], "snapshot_times",
-        ),
+        ({**space_ladder([4, 8, 16], 32), "snapshot_times": [0.05]}, [], "snapshot_times"),
+        ({**time_ladder([1, 2, 4], 8), "snapshot_times": [0.05]}, [], "snapshot_times"),
         # Ladders the rate fit cannot use: too short, repeated, coarsening or
         # reaching the reference.
         (space_ladder([8, 16], 64), [], LADDER),
@@ -468,19 +473,55 @@ def time_ladder(divisors, reference):
         (time_ladder([2, 2, 4], 8), [], LADDER),
         (space_ladder([8, 16, 32], 32), [], LADDER),
         (time_ladder([2, 4, 8], 8), [], LADDER),
+        # The reference of a space ladder is mesh.cells, one count for every axis.
+        ({**space_ladder([2, 4, 8], 16), **mesh_cells(16, 8)}, [], "same on every axis"),
+        # Keys and modes of the old format, whose values the config already has.
+        ({**space_ladder([2, 4, 8], 16), "reference_cells": 16}, [], "'reference_cells'"),
+        ({**time_ladder([1, 2, 4], 8), "reference_dt_divisor": 8}, [], "'reference_dt_divisor'"),
+        ({"mode": "entropy"}, [], "unknown mode 'entropy'"),
+        # Values that would run changed: a fraction truncated, NaN called asymmetric.
+        (mesh_cells(16.7), [], f"mesh.cells {INTEGER}"),
+        (dt_divisor(5.5), [], f"scheme.dt_divisor {INTEGER}"),
+        (dt_divisor(5, picard_max_iter=2.5), [], f"scheme.picard_max_iter {INTEGER}"),
+        (
+            dt_divisor(5, linear_solver={"max_iter": 9.9}), [],
+            f"scheme.linear_solver.max_iter {INTEGER}",
+        ),
+        ({"diagnostics_every": 1.5}, [], f"diagnostics_every {INTEGER}"),
+        ({"threads": 1.5}, [], f"threads {INTEGER}"),
+        (space_ladder([2, 4.5, 8], 16), [], f"space_ladder {INTEGER}"),
+        (time_ladder([1, 2, 4.5], 8), [], f"dt_ladder_divisors {INTEGER}"),
+        (trig([1.5]), [], f"initial[0].modes {INTEGER}"),
+        ({"kernel": {**strengths(0.1)["kernel"], "quadrature_order": 4.5}}, [],
+         f"kernel.quadrature_order {INTEGER}"),
+        (strengths(float("nan")), [], "strengths must be finite"),
+        (strengths(float("inf")), [], "strengths must be finite"),
+        (dt_divisor(5, kappa=float("nan")), [], "kappa must be positive and finite"),
+        (dt_divisor(5, kappa=float("inf")), [], "kappa must be positive and finite"),
+        (dt_divisor(5, picard_tol=float("nan")), [], "Picard tolerances"),
+        (dt_divisor(5, linear_solver={"rel_tol": float("nan")}), [], "linear solver tolerances"),
     ],
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
         "threads", "--threads", "snap-converge-space", "snap-converge-time",
         "ladder-short", "ladder-repeated", "ladder-decreasing", "dt-ladder-repeated",
-        "ladder-at-reference", "dt-ladder-at-reference",
+        "ladder-at-reference", "dt-ladder-at-reference", "ladder-non-uniform-mesh",
+        "old-reference-cells", "old-reference-dt-divisor", "old-entropy-mode",
+        "fraction-cells", "fraction-dt-divisor", "fraction-picard-max-iter",
+        "fraction-linear-max-iter", "fraction-diag", "fraction-threads",
+        "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
+        "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
+        "nan-picard-tol", "nan-rel-tol",
     ],
 )
 def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, args, message):
-    # dt = 0.01, t_end = 0.05: each value would run and be silently ignored.
+    # dt = 0.01, t_end = 0.05 unless overridden: each value would run ignored or
+    # changed, or fail only after output was written.
     out = tmp_path / "out"
     path = tiny_config(tmp_path, **overrides)
-    command = overrides.get("mode", "run").replace("_", "-")
+    command = {"converge_space": "converge-space", "converge_time": "converge-time"}.get(
+        overrides.get("mode"), "run"
+    )
     assert cli_main([command, "--config", str(path), "--out", str(out)] + args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -520,9 +561,7 @@ def test_error_table_csv_layout(tmp_path):
     import dataclasses
 
     cfg = parse_config(
-        tiny_config(
-            tmp_path, mode="converge_space", space_ladder=[8, 16, 32], reference_cells=64
-        )
+        tiny_config(tmp_path, mode="converge_space", space_ladder=[8, 16, 32], **mesh_cells(64))
     )
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "conv"))
     run_experiment(cfg)
@@ -552,6 +591,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli_main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, name):
+    path = tmp_path / name
+    with pytest.raises(ConfigurationError, match="cannot read config"):
+        parse_config(path)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config" in err
+    assert str(path) in err
+
+
 def test_cli_step_failure_exit_code(tmp_path, capsys):
     # Strong attraction with a huge time step and a tiny Picard budget.
     path = tiny_config(
@@ -574,6 +624,19 @@ def test_cli_step_failure_exit_code(tmp_path, capsys):
     assert len(summary["failure_picard_errors"]) == 2
     assert summary["failure_picard_errors"][-1] > 1e-10
     assert summary["failure_linear_residuals"] == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_numerical_error_in_a_step_reports_failed_step(tmp_path, capsys):
+    # |Dp|/kappa overflows, so eval_B raises UsageError inside the first step.
+    path = tiny_config(tmp_path, scheme={"kappa": 1e-320, "dt": 0.01, "t_end": 0.05})
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "step 1/5 failed" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_step"] == 1
+    assert summary["failure_picard_errors"] == []
+    assert len((out / "report.csv").read_text().splitlines()) == 1  # header only
 
 
 def test_solver_failure_reports_failed_step(tmp_path):
@@ -613,9 +676,7 @@ def test_cli_check_kernel(tmp_path, capsys):
 
 
 def test_cli_mode_override(tmp_path):
-    path = tiny_config(
-        tmp_path, mode="run", space_ladder=[8, 16, 32], reference_cells=64
-    )
+    path = tiny_config(tmp_path, mode="run", space_ladder=[8, 16, 32], **mesh_cells(64))
     code = cli_main(
         ["converge-space", "--config", str(path), "--out", str(tmp_path / "ov")]
     )
@@ -623,8 +684,7 @@ def test_cli_mode_override(tmp_path):
     assert (tmp_path / "ov" / "space_errors.csv").exists()
     # Snapshots of a run config are rejected once the command makes it a ladder.
     path = tiny_config(
-        tmp_path, mode="run", space_ladder=[8, 16, 32], reference_cells=64,
-        snapshot_times=[0.05],
+        tmp_path, mode="run", space_ladder=[8, 16, 32], snapshot_times=[0.05], **mesh_cells(64)
     )
     out = tmp_path / "ov2"
     assert cli_main(["converge-space", "--config", str(path), "--out", str(out)]) == 2
