@@ -45,13 +45,13 @@ class TrigIC:
 def parse_descriptor(raw: dict):
     kind = raw.get("type")
     if kind == "constant":
-        return ConstantIC(value=float(raw["value"]))
+        return ConstantIC(value=_finite(raw["value"], "value"))
     if kind == "box":
         return BoxIC(
-            lo=tuple(float(v) for v in raw["lo"]),
-            hi=tuple(float(v) for v in raw["hi"]),
-            amplitude=float(raw.get("amplitude", 1.0)),
-            normalize_to=_opt_float(raw.get("normalize_to")),
+            lo=tuple(_finite(v, "lo") for v in raw["lo"]),
+            hi=tuple(_finite(v, "hi") for v in raw["hi"]),
+            amplitude=_finite(raw.get("amplitude", 1.0), "amplitude"),
+            normalize_to=_opt_finite(raw.get("normalize_to")),
         )
     if kind == "trig":
         fn = raw.get("fn", "sin")
@@ -60,15 +60,23 @@ def parse_descriptor(raw: dict):
         return TrigIC(
             fn=fn,
             modes=tuple(int(k) for k in raw["modes"]),
-            scale=float(raw.get("scale", 1.0)),
-            offset=float(raw.get("offset", 0.0)),
-            normalize_to=_opt_float(raw.get("normalize_to")),
+            scale=_finite(raw.get("scale", 1.0), "scale"),
+            offset=_finite(raw.get("offset", 0.0), "offset"),
+            normalize_to=_opt_finite(raw.get("normalize_to")),
         )
     raise ConfigurationError(f"unknown initial-datum type {kind!r}")
 
 
-def _opt_float(v):
-    return None if v is None else float(v)
+def _finite(v, key: str) -> float:
+    """A datum parameter; NaN or inf would pass the positivity floor and fail mid-step."""
+    value = float(v)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"initial datum {key} must be finite, got {value}")
+    return value
+
+
+def _opt_finite(v):
+    return None if v is None else _finite(v, "normalize_to")
 
 
 def project_initial(descriptor, mesh: Mesh) -> np.ndarray:
@@ -85,6 +93,10 @@ def project_initial(descriptor, mesh: Mesh) -> np.ndarray:
         field = _project_trig(descriptor, mesh)
     else:
         raise ConfigurationError(f"unsupported initial-datum descriptor {descriptor!r}")
+    if not np.all(np.isfinite(field)) or not np.any(field > 0):
+        # Floored to the smallest normal float, a datum with no positive cell
+        # leaves a linear system whose residual target underflows.
+        raise ConfigurationError("initial datum needs finite cell averages and a positive cell")
     target = getattr(descriptor, "normalize_to", None)
     if target is not None:
         mass = mesh.cell_measure * float(field.sum())

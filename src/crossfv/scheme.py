@@ -8,7 +8,9 @@ iterates the potential to a fixed point. On the 1D torus the system is
 periodic tridiagonal and is solved directly from its slots; for dim >= 2
 BiCGStab runs on the CSR matrix built from them. Each accepted state
 carries its own potential p = W*u, computed once and read by the next step
-and by the diagnostics, and after a full report its Boltzmann entropy H_B.
+and by the diagnostics, after a full report its Boltzmann entropy H_B, and
+the previous level's u and p, from which the next step's Picard iteration
+starts at the extrapolated state 2u^n - u^(n-1).
 """
 
 from __future__ import annotations
@@ -82,13 +84,17 @@ class SchemeConfig:
 
 @dataclass
 class State:
-    """Per-species cell averages at one time level and their potential W*u."""
+    """Per-species cell averages at one time level, their potential W*u and the level before."""
 
     k: int
     u: np.ndarray  # (n_species, *mesh.shape)
     mesh: Mesh
     p: np.ndarray | None = None  # kernel.potentials(u), set by advance; None until then
     h_b: float | None = None  # entropy_boltzmann(self), set by advance after a full report
+    # The previous level's u and p themselves (not copies), set by advance; None on a
+    # state with no predecessor, whose step starts its Picard iteration from u.
+    u_prev: np.ndarray | None = None
+    p_prev: np.ndarray | None = None
 
     @property
     def n_species(self) -> int:
@@ -280,12 +286,17 @@ def advance(
 ):
     """One implicit Euler step via Picard iteration on the potential.
 
-    The first sweep uses `state.p` (both couplings at u = u_prev); each
-    later one rebuilds the coupling potential from the latest iterate, and
-    the step is accepted once consecutive iterates agree in the max norm.
-    s sweeps cost s convolutions, the last for the new state's `p` (one
-    more when `state.p` is None; `state` itself is never modified). A full
-    report's H_B of the new state is kept as its `h_b`.
+    With a predecessor u^(n-1) the first sweep starts from the extrapolated
+    state u_pred = 2u^n - u^(n-1) and its potential 2p^n - p^(n-1), exact
+    by linearity of W and so free of convolution (mid-point coupling takes
+    the mean of that and p^n); without one it starts from u^n and `state.p`.
+    Each later sweep rebuilds the coupling potential from the latest
+    iterate, and the step is accepted once consecutive iterates agree in
+    the max norm; the first error is that of the first solve against its
+    start. s sweeps cost s convolutions, the last for the new state's `p`
+    (one more when `state.p` is None; `state` itself is never modified).
+    The new state keeps `state.u` and its potential as its predecessor, and
+    a full report's H_B as its `h_b`.
     Returns the new state and its step report. An exhausted Picard budget
     or a failed linear solve raises StepFailure with the Picard errors so
     far and the failed solve's residual history.
@@ -293,9 +304,15 @@ def advance(
     from . import diagnostics  # local import to keep module deps acyclic
 
     mesh = state.mesh
-    u_prev = state.u
-    p_prev = kernel.potentials(u_prev) if state.p is None else state.p
-    u_iter, p = u_prev, p_prev
+    u_n = state.u
+    p_n = kernel.potentials(u_n) if state.p is None else state.p
+    if state.u_prev is None or state.p_prev is None:
+        u_iter, p = u_n, p_n
+    else:
+        u_iter = 2.0 * u_n - state.u_prev
+        p = 2.0 * p_n - state.p_prev
+        if cfg.coupling is Coupling.MIDPOINT:
+            p = 0.5 * (p + p_n)
     errors = []
     residual = 0.0
     clamped = 0
@@ -303,7 +320,7 @@ def advance(
     while True:
         u_new = np.empty_like(u_iter)
         for i in range(state.n_species):
-            system = assemble(u_prev[i], p[i], cfg, mesh)
+            system = assemble(u_n[i], p[i], cfg, mesh)
             try:
                 u_new[i], info = solve_linear(system, cfg, x0=u_iter[i].ravel())
             except SolverFailure as exc:
@@ -324,10 +341,12 @@ def advance(
                 f"sweeps (last error {err:.3e}, tol {cfg.picard_tol:.3e})",
                 error_history=errors,
             )
-        p = coupling_potential(kernel, u_iter, u_prev, cfg.coupling)
-    new_state = State(k=state.k + 1, u=u_iter, mesh=mesh, p=kernel.potentials(u_iter))
+        p = coupling_potential(kernel, u_iter, u_n, cfg.coupling)
+    new_state = State(
+        k=state.k + 1, u=u_iter, mesh=mesh, p=kernel.potentials(u_iter), u_prev=u_n, p_prev=p_n
+    )
     report = diagnostics.build_report(
-        prev=replace(state, p=p_prev),
+        prev=replace(state, p=p_n),
         curr=new_state,
         kernel=kernel,
         cfg=cfg,

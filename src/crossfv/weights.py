@@ -16,6 +16,8 @@ from .errors import ConfigurationError, UsageError
 _TAYLOR_CUT = 1e-5
 _EXP_CUT = 30.0
 
+_MAX_FLOAT = float(np.finfo(float).max)
+
 
 class WeightKind(str, enum.Enum):
     UPWIND = "upwind"
@@ -86,7 +88,13 @@ def eval_B(kind: WeightKind, s):
 
 
 def eval_B_kappa(kind: WeightKind, kappa: float, s):
-    """Scaled weight kappa * B(s / kappa), continuous in both arguments."""
+    """Scaled weight kappa * B(s / kappa), continuous in both arguments.
+
+    Where s / kappa overflows, the value is its limit kappa * B(inf): 0, or
+    kappa for upwind, which the largest finite argument already gives.
+    """
     if not np.isfinite(kappa) or kappa <= 0:
         raise ConfigurationError(f"kappa must be positive, got {kappa}")
-    return kappa * eval_B(kind, np.asarray(s, dtype=float) / kappa)
+    with np.errstate(over="ignore"):
+        scaled = np.minimum(np.asarray(s, dtype=float) / kappa, _MAX_FLOAT)
+    return kappa * eval_B(kind, scaled)

@@ -16,6 +16,7 @@ from crossfv import (
     ConstantIC,
     DiscreteKernel,
     MeshSpec,
+    NumericalStateError,
     StepFailure,
     TrigIC,
     UsageError,
@@ -28,6 +29,7 @@ from crossfv import (
     project_initial,
     run_experiment,
 )
+from crossfv import scheme
 from crossfv.cli import main as cli_main
 from crossfv.harness import ErrorTable
 
@@ -500,6 +502,13 @@ def strengths(value):
         (dt_divisor(5, kappa=float("inf")), [], "kappa must be positive and finite"),
         (dt_divisor(5, picard_tol=float("nan")), [], "Picard tolerances"),
         (dt_divisor(5, linear_solver={"rel_tol": float("nan")}), [], "linear solver tolerances"),
+        # A non-finite datum passes the positivity floor and would fail inside step 1.
+        ({"initial": [{"type": "constant", "value": float("nan")}]}, [],
+         "initial datum value must be finite"),
+        ({"initial": [{"type": "box", "lo": [0.25], "hi": [0.5], "amplitude": float("nan")}]},
+         [], "initial datum amplitude must be finite"),
+        ({"initial": [{"type": "trig", "modes": [1], "offset": float("nan")}]}, [],
+         "initial datum offset must be finite"),
     ],
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
@@ -511,7 +520,7 @@ def strengths(value):
         "fraction-linear-max-iter", "fraction-diag", "fraction-threads",
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
         "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
-        "nan-picard-tol", "nan-rel-tol",
+        "nan-picard-tol", "nan-rel-tol", "nan-constant", "nan-amplitude", "nan-offset",
     ],
 )
 def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, args, message):
@@ -626,10 +635,13 @@ def test_cli_step_failure_exit_code(tmp_path, capsys):
     assert summary["failure_linear_residuals"] == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_numerical_error_in_a_step_reports_failed_step(tmp_path, capsys):
-    # |Dp|/kappa overflows, so eval_B raises UsageError inside the first step.
-    path = tiny_config(tmp_path, scheme={"kappa": 1e-320, "dt": 0.01, "t_end": 0.05})
+def test_numerical_error_in_a_step_reports_failed_step(tmp_path, capsys, monkeypatch):
+    # A non-finite state found inside the first step.
+    def fail(*args):
+        raise NumericalStateError("potential must be finite")
+
+    monkeypatch.setattr(scheme, "assemble", fail)
+    path = tiny_config(tmp_path)
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 3
     assert "step 1/5 failed" in capsys.readouterr().err
@@ -637,6 +649,16 @@ def test_numerical_error_in_a_step_reports_failed_step(tmp_path, capsys):
     assert summary["failed_step"] == 1
     assert summary["failure_picard_errors"] == []
     assert len((out / "report.csv").read_text().splitlines()) == 1  # header only
+
+
+def test_overflowing_peclet_number_steps_with_the_limit_flux(tmp_path):
+    # |Dp|/kappa overflows to inf; the weight takes its limit kappa * B(inf) = 0.
+    path = tiny_config(tmp_path, scheme={"kappa": 1e-320, "dt": 0.01, "t_end": 0.05})
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_steps"] == 5 and summary["gated_failures"] == 0
+    assert summary["max_mass_drift"] <= 1e-10 and summary["min_density"] > 0
 
 
 def test_solver_failure_reports_failed_step(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,10 +32,12 @@ from crossfv import (
     assemble,
     build_mesh,
     discretize,
+    parse_config,
     run,
+    run_experiment,
     solve_linear,
 )
-from crossfv import linsolve
+from crossfv import linsolve, scheme
 from crossfv.kernels import Extension
 from crossfv.weights import bernoulli_signed
 
@@ -387,6 +391,94 @@ def test_zero_kernel_converges_in_exactly_two_sweeps():
     assert report.picard_iters == 2
     assert report.picard_errors[-1] == 0.0
     assert np.all(new_state.u > 0)
+
+
+def test_steady_state_with_a_predecessor_is_accepted_after_one_sweep():
+    # Uniform density under a zero kernel: the extrapolated start is the solution.
+    mesh = mesh_1d(32)
+    kernel = zero_kernel(mesh)
+    cfg = base_cfg(dt=0.01)
+    u = np.full((1,) + mesh.shape, 0.7)
+    p = np.zeros_like(u)
+    state = State(k=1, u=u, mesh=mesh, p=p, u_prev=u.copy(), p_prev=p.copy())
+    new_state, report = advance(state, kernel, cfg)
+    assert report.picard_iters == 1
+    assert report.picard_errors[0] <= cfg.picard_tol
+    assert new_state.u_prev is state.u and new_state.p_prev is state.p  # not copies
+
+
+def two_species_problem(mesh):
+    spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shape=Gaussian(eps=0.4))
+    x = mesh.axis_coordinates(0)
+    u0 = np.stack([1.0 + 0.5 * np.sin(2 * np.pi * x), 1.0 + 0.3 * np.cos(2 * np.pi * x)])
+    return discretize(spec, mesh), u0
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_predictor_start_reaches_the_same_step(coupling):
+    # The same implicit step from u^n and from 2u^n - u^(n-1): both iterations
+    # stop within picard_tol of the one fixed point.
+    mesh = mesh_1d(24)
+    kernel, u0 = two_species_problem(mesh)
+    cfg = base_cfg(dt=0.02, kappa=0.05, coupling=coupling)
+    state, _ = advance(State(k=0, u=u0, mesh=mesh), kernel, cfg)
+    assert state.u_prev is u0
+    predicted, with_pred = advance(state, kernel, cfg)
+    plain, without_pred = advance(
+        dataclasses.replace(state, u_prev=None, p_prev=None), kernel, cfg
+    )
+    assert with_pred.picard_errors[0] < 0.1 * without_pred.picard_errors[0]
+    assert np.max(np.abs(predicted.u - plain.u)) <= 10 * cfg.picard_tol
+    assert np.all(predicted.u > 0)
+    assert np.max(np.abs(predicted.masses() - state.masses())) <= 1e-13 * state.masses().max()
+
+
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_first_sweep_after_a_predecessor_convolves_nothing(coupling, monkeypatch):
+    mesh = mesh_1d(24)
+    kernel, u0 = two_species_problem(mesh)
+    cfg = base_cfg(dt=0.02, kappa=0.05, coupling=coupling)
+    state, _ = advance(State(k=0, u=u0, mesh=mesh), kernel, cfg)
+    calls, calls_at_assembly = [], []
+    potentials, assemble_ = DiscreteKernel.potentials, scheme.assemble
+    monkeypatch.setattr(
+        DiscreteKernel, "potentials", lambda self, u: calls.append(1) or potentials(self, u)
+    )
+    monkeypatch.setattr(
+        scheme, "assemble", lambda *args: calls_at_assembly.append(len(calls)) or assemble_(*args)
+    )
+    _, report = advance(state, kernel, cfg, compute_diagnostics=False)
+    assert calls_at_assembly[:2] == [0, 0]  # both species of the first sweep
+    assert len(calls) == report.picard_iters  # one per later sweep, one for the new p
+
+
+@pytest.mark.parametrize(
+    "mode,ladder", [("converge_space", [4, 8, 16]), ("converge_time", [1, 2, 4])]
+)
+def test_every_ladder_entry_starts_without_a_predecessor(mode, ladder, monkeypatch):
+    # Each entry is its own solve: its first step starts from u^n, every later one
+    # from the extrapolated state of its own entry.
+    starts = []
+    advance_ = scheme.advance
+
+    def recorded(state, *args, **kwargs):
+        starts.append((state.k, state.u_prev is None))
+        return advance_(state, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "advance", recorded)
+    cfg = parse_config({
+        "name": "ladder",
+        "mesh": {"extents": [[0.0, 1.0]], "cells": [32]},
+        "kernel": {"shape": "gaussian", "eps": 0.5, "strengths": [[0.1]]},
+        "scheme": {"kappa": 0.05, "t_end": 0.04, "dt_divisor": 8},
+        "initial": [{"type": "trig", "fn": "sin", "modes": [1], "scale": 0.2, "offset": 1.0}],
+        "mode": mode,
+        "space_ladder" if mode == "converge_space" else "dt_ladder_divisors": ladder,
+    })
+    run_experiment(cfg)
+    first = [no_predecessor for k, no_predecessor in starts if k == 0]
+    assert first == [True] * (len(ladder) + 1)
+    assert not any(no_predecessor for k, no_predecessor in starts if k > 0)
 
 
 def test_single_step_conserves_mass():

@@ -51,6 +51,20 @@ def test_no_overflow_for_huge_arguments():
                 assert val < 1e-300  # underflows to the mathematical limit
 
 
+def test_scaled_weight_takes_its_limit_where_the_argument_overflows():
+    # s / kappa overflows to inf: kappa * B(inf) is 0, or kappa for upwind.
+    kappa = 1e-320
+    s = np.array([0.0, 1.0, 1e300])
+    with np.errstate(over="raise", invalid="raise"):
+        for kind in ALL_KINDS:
+            val = eval_B_kappa(kind, kappa, s)
+            assert val[0] == kappa
+            limit = kappa if kind is WeightKind.UPWIND else 0.0
+            assert np.all(val[1:] == limit)
+    with pytest.raises(UsageError):
+        eval_B_kappa(WeightKind.BERNOULLI, kappa, np.nan)
+
+
 def test_reflection_identity_bernoulli():
     s = np.linspace(-30.0, 30.0, 2001)
     lhs = bernoulli_signed(-s)
