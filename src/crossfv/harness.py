@@ -560,8 +560,13 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _solve_final_state(cfg: ExperimentConfig, cells=None, dt=None) -> RunSummary:
+    """One ladder entry; its final state keeps only `u`, all the error table reads."""
     _, kernel, scheme_cfg, state = _build_problem(cfg, cells=cells, dt=dt)
-    return run(scheme_cfg, state, kernel, diagnostics_every=0)
+    summary = run(scheme_cfg, state, kernel, diagnostics_every=0)
+    summary.final_state = dataclasses.replace(
+        summary.final_state, p=None, u_prev=None, p_prev=None
+    )
+    return summary
 
 
 def _run_ladder(cfg: ExperimentConfig, jobs: list) -> list:

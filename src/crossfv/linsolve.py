@@ -2,8 +2,9 @@
 
 The assembled matrices are M-matrices that are strictly diagonally dominant
 by columns. On the 1D torus they are periodic tridiagonal and
-`cyclic_tridiagonal` solves them directly, in numpy only; for dim >= 2
-Jacobi-scaled BiCGStab is the solver and converges quickly. When round-off
+`cyclic_tridiagonal` solves every species' system in one direct call, in
+numpy only; for dim >= 2 Jacobi-scaled BiCGStab is the solver, one system
+at a time, and converges quickly. When round-off
 drives a result below zero, `jacobi_positive_polish` repairs it: Jacobi
 sweeps from a clipped start are guaranteed to converge and keep every
 iterate nonnegative. All stopping tests use the max norm of the true
@@ -21,38 +22,42 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 def _chain_pcr(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Parallel cyclic reduction of an open tridiagonal chain of n rows.
+    """Parallel cyclic reduction of open tridiagonal chains of n rows, stacked on leading axes.
 
-    Row i reads sub[i-1] x[i-1] + diag[i] x[i] + sup[i] x[i+1] = rhs[:, i]
-    (`sub` and `sup` have n-1 entries; `rhs` holds one right-hand side per
-    row). Each level eliminates the neighbors at distance s from every row
-    at once, leaving couplings at distance 2s; after ceil(log2 n) levels
-    every row stands alone. With row dominance
-    rho = max (|sub| + |sup|) / diag < 1, each level at least squares the
-    couplings left relative to the diagonal (Heller, SIAM J. Numer. Anal.
-    13, 1976), so the reduction stops once they are below the unit
-    round-off: dropping them moves x by at most that fraction of max |x|.
-    The chain sits in the middle third of two buffers (read one, write the
-    other) whose outer thirds are decoupled identity rows, so the shifted
-    views need no bounds. The buffers hold the negated off-diagonals: for
-    an M-matrix they stay nonnegative, and a nonnegative right-hand side
-    stays nonnegative because it is only ever increased by products of
-    nonnegative numbers.
+    Row i of a chain reads sub[..., i-1] x[i-1] + diag[..., i] x[i] +
+    sup[..., i] x[i+1] = rhs[:, ..., i] (`sub` and `sup` have n-1 entries;
+    `rhs` holds one right-hand side per row of its first axis). Each level
+    eliminates the neighbors at distance s from every row at once, leaving
+    couplings at distance 2s; after ceil(log2 n) levels every row stands
+    alone. The couplings left shrink relative to the diagonal, at least
+    quadratically once the rows are dominant (Heller, SIAM J. Numer. Anal.
+    13, 1976). Before each level rho = 2 max(-sub, -sup) / diag over all
+    rows bounds their row sums over the diagonal (for an M-matrix), and
+    the reduction stops once rho is below the unit round-off: dropping the
+    couplings then moves x by at most that fraction of max |x|, chain by
+    chain. The chains of the stack lie end to end, so each level is one
+    pass over all of them: the end rows of a chain have no coupling across
+    it, and by induction no row ever gains one. They sit between two
+    margins of n decoupled identity rows, in two buffers (read one, write
+    the other), so the shifted views need no bounds. The buffers hold the
+    negated off-diagonals: for an M-matrix they stay nonnegative, and a
+    nonnegative right-hand side stays nonnegative because it is only ever
+    increased by products of nonnegative numbers.
     """
-    n = diag.size
-    cur, nxt = np.zeros((2, rhs.shape[0] + 3, 3 * n))  # rows: -sub, -sup, diag, rhs...
+    n = diag.shape[-1]
+    size = diag.size
+    cur, nxt = np.zeros((2, rhs.shape[0] + 3, size + 2 * n))  # rows: -sub, -sup, diag, rhs...
     cur[2] = nxt[2] = 1.0
-    mid = cur[:, n : 2 * n]
-    np.negative(sub, out=mid[0, 1:])
-    np.negative(sup, out=mid[1, :-1])
-    mid[2] = diag
-    mid[3:] = rhs
-    rho = float(np.max((mid[0] + mid[1]) / mid[2]))
+    mid = cur[:, n : n + size]
+    np.negative(sub, out=mid[0].reshape(diag.shape)[..., 1:])
+    np.negative(sup, out=mid[1].reshape(diag.shape)[..., :-1])
+    mid[2] = diag.reshape(size)
+    mid[3:] = rhs.reshape(rhs.shape[0], size)
     s = 1
-    while s < n and rho > _UNIT_ROUNDOFF:
-        lo = cur[:, n - s : 2 * n - s]
-        hi = cur[:, n + s : 2 * n + s]
-        new = nxt[:, n : 2 * n]
+    while s < n and 2.0 * float((mid[:2] / mid[2]).max()) > _UNIT_ROUNDOFF:
+        lo = cur[:, n - s : n - s + size]
+        hi = cur[:, n + s : n + s + size]
+        new = nxt[:, n : n + size]
         left = mid[0] / lo[2]
         right = mid[1] / hi[2]
         np.multiply(left, lo[0], out=new[0])
@@ -62,37 +67,47 @@ def _chain_pcr(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarr
         np.add(mid[3:], left * lo[3:], out=new[3:])
         new[3:] += right * hi[3:]
         cur, nxt, mid = nxt, cur, new
-        rho *= rho
         s *= 2
-    return mid[3:] / mid[2]
+    return (mid[3:] / mid[2]).reshape(rhs.shape)
 
 
 def cyclic_tridiagonal(
     diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Direct solve of the periodic tridiagonal system of M >= 2 rows.
+    """Direct solve of periodic tridiagonal systems of M >= 2 rows, stacked on leading axes.
 
     Row K reads lower[K] x[K-1] + diag[K] x[K] + upper[K] x[K+1] = rhs[K],
-    indices mod M; for M = 2 both neighbors are one cell and its two
-    coefficients add. Cell 0 is eliminated, which is the rank-one corner
-    correction of the cyclic Thomas method (Numerical Recipes §2.7) taken
-    as a border: the open chain of cells 1..M-1 is solved for the
-    right-hand side and for minus column 0, y and w (indexed by cell), and
-    then x[1:] = y + x[0] w with
+    indices mod M, along the last axis of every argument; any leading axes
+    (the species) index independent systems, all solved in one reduction.
+    For M = 2 both neighbors are one cell and its two coefficients add.
+    Cell 0 is eliminated, which is the rank-one corner correction of the
+    cyclic Thomas method (Numerical Recipes §2.7) taken as a border: the
+    open chain of cells 1..M-1 is solved for the right-hand side and for
+    minus column 0, y and w (indexed by cell), and then x[1:] = y + x[0] w
+    with
         x[0] = (rhs[0] - upper[0] y[1] - lower[0] y[M-1])
                / (diag[0] + upper[0] w[1] + lower[0] w[M-1]).
     For an M-matrix with a nonnegative right-hand side y, w and the
     numerator are nonnegative and every sum adds nonnegative terms, so the
-    result is nonnegative by construction.
+    result is nonnegative by construction. Each system is solved for its
+    right-hand side scaled by the power of two that brings its maximum
+    near 2^512 (or as near as 2^1023 reaches): exact, and it keeps
+    densities far below the normal range out of subnormal arithmetic,
+    which is slow and loses precision.
     """
-    col0 = np.zeros(diag.size - 1)  # minus column 0 below the diagonal
-    col0[0] -= lower[1]
-    col0[-1] -= upper[-1]
-    y, w = _chain_pcr(lower[2:], diag[1:], upper[1:-1], np.stack([rhs[1:], col0]))
-    x0 = (rhs[0] - upper[0] * y[0] - lower[0] * y[-1]) / (
-        diag[0] + upper[0] * w[0] + lower[0] * w[-1]
+    exponent = np.frexp(np.abs(rhs).max(axis=-1, keepdims=True))[1]
+    scale = np.ldexp(1.0, np.minimum(512 - exponent, 1023))
+    rhs = rhs * scale
+    col0 = np.zeros(diag.shape[:-1] + (diag.shape[-1] - 1,))  # minus column 0 below the diagonal
+    col0[..., 0] -= lower[..., 1]
+    col0[..., -1] -= upper[..., -1]
+    y, w = _chain_pcr(
+        lower[..., 2:], diag[..., 1:], upper[..., 1:-1], np.stack([rhs[..., 1:], col0])
     )
-    return np.concatenate(([x0], y + x0 * w))
+    x0 = (rhs[..., :1] - upper[..., :1] * y[..., :1] - lower[..., :1] * y[..., -1:]) / (
+        diag[..., :1] + upper[..., :1] * w[..., :1] + lower[..., :1] * w[..., -1:]
+    )
+    return np.concatenate((x0, y + x0 * w), axis=-1) / scale
 
 
 def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_iter: int):
@@ -100,7 +115,24 @@ def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_it
 
     Returns (solution, residual_history). Raises SolverFailure when the
     iteration budget runs out or the recurrence breaks down irrecoverably.
+    Where max |rhs| lies outside [2^-256, 2^256], the inner products can
+    underflow or overflow (densities of order 1e-159 stall it), so the
+    iteration runs on rhs, x0 and atol scaled by the power of two that
+    brings max |rhs| into [1/2, 1), and x and the residual history are
+    scaled back. The scaling is exact; a system in that range is solved
+    unscaled.
     """
+    exponent = int(np.frexp(np.max(np.abs(rhs)))[1])
+    scale = 2.0 ** min(max(-exponent, -1022), 1022) if abs(exponent) > 256 else 1.0
+    if scale != 1.0:
+        rhs, atol = rhs * scale, atol * scale
+        x0 = None if x0 is None else x0 * scale
+
+    def unscaled(x, history):
+        if scale == 1.0:
+            return x, history
+        return x / scale, [h / scale for h in history]
+
     diag = np.asarray(matrix.diagonal())
     inv_d = 1.0 / diag
     # Row-scaled system: (D^-1 A) x = D^-1 b. The recursive residual of the
@@ -111,7 +143,7 @@ def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_it
     r = b - inv_d * (matrix @ x)
     history = [float(np.abs(diag * r).max())]
     if history[-1] <= atol:
-        return x, history
+        return unscaled(x, history)
     r0 = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(r)
@@ -149,15 +181,16 @@ def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_it
             true_res = float(np.abs(rhs - matrix @ x).max())
             history[-1] = true_res
             if true_res <= atol:
-                return x, history
+                return unscaled(x, history)
             r = (rhs - matrix @ x) * inv_d
             r0 = r.copy()
             rho = alpha = omega = 1.0
             v[:] = 0.0
             p[:] = 0.0
+    _, history = unscaled(x, history)
     raise SolverFailure(
         f"BiCGStab exhausted {max_iter} iterations (residual {history[-1]:.3e}, "
-        f"target {atol:.3e})",
+        f"target {atol / scale:.3e})",
         residual_history=history,
     )
 

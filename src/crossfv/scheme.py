@@ -1,16 +1,20 @@
 """Implicit Euler finite-volume scheme with the generalized upwind flux.
 
-The flux F = -tau * (B_kappa(|Dp|) * Du + u_upwind * Dp) exists only as the
-stencil slots of `assemble`. Each time step freezes the nonlocal potential,
-solves one decoupled linear transport system per species (an M-matrix solve
-that preserves positivity and mass exactly up to the linear tolerance) and
-iterates the potential to a fixed point. On the 1D torus the system is
-periodic tridiagonal and is solved directly from its slots; for dim >= 2
-BiCGStab runs on the CSR matrix built from them. Each accepted state
-carries its own potential p = W*u, computed once and read by the next step
-and by the diagnostics, after a full report its Boltzmann entropy H_B, and
-the previous level's u and p, from which the next step's Picard iteration
-starts at the extrapolated state 2u^n - u^(n-1).
+The flux F = -tau * (B_kappa(|Dp|) * Du + u_upwind * Dp) exists only as
+the stencil that `assemble` returns. Each time step freezes the nonlocal
+potential, solves the decoupled linear transport systems of all species
+(M-matrix solves that preserve positivity and mass exactly up to the
+linear tolerance) and iterates the potential to a fixed point. A Picard
+sweep is one `assemble` and one `solve_linear` call on the whole species
+stack: on the 1D torus the periodic tridiagonal systems are solved
+directly from the stencil in one batched reduction; for dim >= 2
+BiCGStab runs on each species' CSR matrix, whose values are the stencil.
+Each species keeps its own tolerance, correction step and positivity
+polish. Each accepted state carries its own potential p = W*u, computed
+once and read by the next step and by the diagnostics, after a full
+report its Boltzmann entropy H_B, and the previous level's u and p, from
+which the next step's Picard iteration starts at the extrapolated state
+2u^n - u^(n-1).
 """
 
 from __future__ import annotations
@@ -106,30 +110,43 @@ class State:
 
 @dataclass
 class LinearSystem:
-    """A x = rhs, with A held as its stencil slots on the mesh.
+    """A x = rhs, with A held as its stencil on the mesh; a stack of them when batched.
 
-    `slots` are the diagonal, then the +e and -e off-diagonals of each
-    axis: row K reads slots[0][K] x[K] + sum over axes of
-    slots[2a+1][K] x[K+e_a] + slots[2a+2][K] x[K-e_a].
+    `stencil` has shape (..., *mesh.shape, 2 dim + 1): per cell, the
+    diagonal, then the +e and -e off-diagonals of each axis, so row K reads
+    slot 0 at K times x[K] plus, for each axis a, slot 2a+1 times x[K+e_a]
+    and slot 2a+2 times x[K-e_a]. That is the order of a CSR row on the
+    stencil pattern, so a single system's stencil is its CSR values as
+    they stand. `rhs` has shape (..., n_cells); the leading axes, if any,
+    index the systems of a stack, and `system[i]` is the system at index i.
     """
 
-    slots: tuple
+    stencil: np.ndarray
     rhs: np.ndarray
     mesh: Mesh
 
     @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """A as one CSR matrix on the cached stencil pattern, built on first access.
+    def slots(self) -> tuple:
+        """Slot k of every cell, shaped (..., *mesh.shape), as views of the stencil."""
+        return tuple(self.stencil.transpose(-1, *range(self.stencil.ndim - 1)))
 
-        Columns are unsorted. On an axis of 2 cells K+e and K-e are the same
-        cell, so a row holds that column twice; CSR products, `diagonal()`,
+    def __getitem__(self, index) -> LinearSystem:
+        return LinearSystem(self.stencil[index], self.rhs[index], self.mesh)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """A of a single system as a CSR matrix on the cached pattern, built on first access.
+
+        Its values are the stencil itself, not a copy, where each cell's
+        row is contiguous (as `assemble` lays it out in dim >= 2). Columns
+        are unsorted. On an axis of 2 cells K+e and K-e are the same cell,
+        so a row holds that column twice; CSR products, `diagonal()`,
         `toarray()` and `sum()` all add duplicate entries, so the matrix is
         still the right one.
         """
         indices, indptr = _csr_pattern(self.mesh)
-        data = np.stack(self.slots, axis=-1).ravel()
         n = self.mesh.n_cells
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        return sp.csr_matrix((self.stencil.ravel(), indices, indptr), shape=(n, n))
 
 
 @dataclass
@@ -162,108 +179,149 @@ def _csr_pattern(mesh: Mesh) -> tuple:
     return indices, indptr
 
 
-def assemble(u_prev_i: np.ndarray, p_i: np.ndarray, cfg: SchemeConfig, mesh: Mesh) -> LinearSystem:
-    """Per-species transport system A(p) x = S(u_prev), as stencil slots.
+def assemble(u_prev: np.ndarray, p: np.ndarray, cfg: SchemeConfig, mesh: Mesh) -> LinearSystem:
+    """Transport systems A(p_i) x_i = S(u_prev_i) of a species stack, as one stencil.
 
-    A has positive diagonal, nonpositive off-diagonal entries and exact
-    column sums m(K)/dt, which is what makes the solve mass-conservative
-    and inverse-positive. The slots are the only copy of the flux in the
-    package; the CSR matrix is built from them only where BiCGStab needs
-    it (dim >= 2).
+    `u_prev` and `p` have shape (..., *mesh.shape); the leading axes (the
+    species, or none for a single system) lead in the stencil and in
+    `rhs`, which has shape (..., n_cells). The weight is evaluated once per
+    axis for the whole stack. A has positive diagonal, nonpositive
+    off-diagonal entries and exact column sums m(K)/dt, which is what makes
+    the solve mass-conservative and inverse-positive. The stencil is the
+    only copy of the flux in the package; where BiCGStab needs a CSR matrix
+    (dim >= 2) it holds the matrix values as they stand.
     """
-    u_prev_i = np.asarray(u_prev_i, dtype=float)
-    p_i = np.asarray(p_i, dtype=float)
-    if u_prev_i.shape != mesh.shape or p_i.shape != mesh.shape:
+    u_prev = np.asarray(u_prev, dtype=float)
+    p = np.asarray(p, dtype=float)
+    lead = u_prev.shape[: u_prev.ndim - mesh.dim]
+    if u_prev.shape != lead + mesh.shape or p.shape != u_prev.shape:
         raise UsageError("field shapes must match the mesh")
-    if np.any(u_prev_i < 0) or not np.any(u_prev_i > 0):
+    flat = u_prev.reshape(lead + (-1,))
+    if (u_prev < 0).any() or not (flat.max(axis=-1) > 0).all():
         raise ConfigurationError(
             "previous density must be nonnegative with at least one positive cell"
         )
-    if not np.all(np.isfinite(p_i)):
+    if not np.isfinite(p).all():
         raise NumericalStateError("potential must be finite")
 
     m_over_dt = mesh.cell_measure / cfg.dt
-    diag = np.full(mesh.shape, m_over_dt)
-    slots = [diag]
-    for axis in range(mesh.dim):
-        dp = axis_difference(p_i, axis)
+    # Each slot is contiguous in 1D, where the direct solve reads slots; in
+    # dim >= 2 each cell's row is, where the stencil is the CSR values.
+    width = 2 * mesh.dim + 1
+    if mesh.dim == 1:
+        stencil = np.empty((width,) + u_prev.shape).transpose(*range(1, u_prev.ndim + 1), 0)
+    else:
+        stencil = np.empty(u_prev.shape + (width,))
+    diag, *off = stencil.transpose(-1, *range(u_prev.ndim))
+    diag[...] = m_over_dt
+    for a in range(mesh.dim):
+        axis = len(lead) + a  # mesh axis a of the stacked fields
+        dp = axis_difference(p, axis)
         bk = eval_B_kappa(cfg.weight, cfg.kappa, np.abs(dp))
-        tau = mesh.tau(axis)
-        g_plus = tau * (bk + np.maximum(dp, 0.0))
-        g_minus = tau * (bk + np.maximum(-dp, 0.0))
+        g_plus = mesh.tau(a) * (bk + np.maximum(dp, 0.0))
+        g_minus = mesh.tau(a) * (bk + np.maximum(-dp, 0.0))
         diag += g_minus + roll(g_plus, 1, axis)
-        slots += [-g_plus, -roll(g_minus, 1, axis)]
-    rhs = m_over_dt * u_prev_i.ravel()
-    return LinearSystem(slots=tuple(slots), rhs=rhs, mesh=mesh)
+        np.negative(g_plus, out=off[2 * a])
+        np.negative(roll(g_minus, 1, axis), out=off[2 * a + 1])
+    return LinearSystem(stencil=stencil, rhs=m_over_dt * flat, mesh=mesh)
 
 
 def _stencil_apply(slots: tuple, x: np.ndarray) -> np.ndarray:
-    """A x for the three-term periodic stencil of a 1D system."""
+    """A x for the three-term periodic stencil of 1D systems, over any leading axes."""
     diag, upper, lower = slots
     y = diag * x
-    y[:-1] += upper[:-1] * x[1:]
-    y[-1] += upper[-1] * x[0]
-    y[1:] += lower[1:] * x[:-1]
-    y[0] += lower[0] * x[-1]
+    y[..., :-1] += upper[..., :-1] * x[..., 1:]
+    y[..., -1] += upper[..., -1] * x[..., 0]
+    y[..., 1:] += lower[..., 1:] * x[..., :-1]
+    y[..., 0] += lower[..., 0] * x[..., -1]
     return y
 
 
-def _solve_direct(system: LinearSystem, target: float) -> tuple:
-    """Direct periodic tridiagonal solve with at most one correction step.
+def _solve_direct(system: LinearSystem, target: np.ndarray) -> tuple:
+    """Direct periodic tridiagonal solve of every system, with at most one correction each.
 
-    Returns (solution, residual_history); raises SolverFailure when the
-    corrected residual still misses the target.
+    The correction is solved only for the systems whose residual misses
+    their own target, so the others keep their first solution bitwise.
+    Returns (solution, residual, corrections), the last two per system;
+    raises SolverFailure when a corrected residual still misses its target.
     """
     diag, upper, lower = system.slots
     x = linsolve.cyclic_tridiagonal(diag, upper, lower, system.rhs)
     res = system.rhs - _stencil_apply(system.slots, x)
-    history = [float(np.abs(res).max())]
-    if history[-1] > target:
-        x = x + linsolve.cyclic_tridiagonal(diag, upper, lower, res)
-        history.append(float(np.abs(system.rhs - _stencil_apply(system.slots, x)).max()))
-        if history[-1] > target:
-            raise SolverFailure(
-                f"direct solve missed its target after one correction (residual "
-                f"{history[-1]:.3e}, target {target:.3e})",
-                residual_history=history,
-            )
-    return x, history
+    first = np.abs(res).max(axis=-1)
+    missed = first > target
+    if not missed.any():
+        return x, first, missed
+    pick = np.nonzero(missed) if missed.ndim else ()
+    x[pick] += linsolve.cyclic_tridiagonal(diag[pick], upper[pick], lower[pick], res[pick])
+    residual = np.abs(system.rhs - _stencil_apply(system.slots, x)).max(axis=-1)
+    failed = residual > target
+    if failed.any():
+        worst = np.unravel_index(np.argmax(failed), np.shape(failed))
+        history = [float(first[worst]), float(residual[worst])]
+        raise SolverFailure(
+            f"direct solve missed its target after one correction (residual "
+            f"{history[-1]:.3e}, target {float(target[worst]):.3e})",
+            residual_history=history,
+        )
+    return x, residual, missed
 
 
 def solve_linear(
     system: LinearSystem, cfg: SchemeConfig, x0: np.ndarray | None = None
 ) -> tuple:
-    """Solve A u = S to ||residual||_inf <= rel_tol * ||S||_inf, positively.
+    """Solve each stacked A_i u_i = S_i to ||residual||_inf <= rel_tol * ||S_i||_inf, positively.
 
-    In 1D the periodic tridiagonal system is solved directly and no matrix
-    is built (`x0` is unused); at most one correction step with the same
-    solve is taken. For dim >= 2 Jacobi-scaled BiCGStab runs on the CSR
-    matrix from `x0`. The exact solution is strictly positive
-    (inverse-positive M-matrix); entries driven negative or to zero by
-    roundoff within 1e-15 * max(u) are clamped to the smallest positive
-    normal float and counted. Larger undershoots trigger a
-    positivity-preserving Jacobi polish, whose iterates are nonnegative by
-    construction.
+    In 1D every periodic tridiagonal system of the stack is solved by one
+    direct call and no matrix is built (`x0` is unused); each system whose
+    residual misses its own target takes one correction step with the same
+    solve. For dim >= 2 Jacobi-scaled BiCGStab runs on each system's CSR
+    matrix in turn, from `x0` (shaped like `rhs`). The exact solution is
+    strictly positive (inverse-positive M-matrix); entries driven negative
+    or to zero by roundoff within 1e-15 * max(u_i) are clamped to the
+    smallest positive normal float and counted. Larger undershoots trigger
+    a positivity-preserving Jacobi polish of that system alone, whose
+    iterates are nonnegative by construction. Returns the solutions, shaped
+    (..., *mesh.shape), and one SolveInfo for the stack: the largest final
+    residual, and iterations and clamps summed over the systems.
     """
-    target = cfg.linear.rel_tol * max(float(np.abs(system.rhs).max()), _TINY)
+    lead = system.rhs.shape[:-1]
+    target = cfg.linear.rel_tol * np.maximum(np.abs(system.rhs).max(axis=-1), _TINY)
     if system.mesh.dim == 1:
-        x, history = _solve_direct(system, target)
+        x, residual, corrected = _solve_direct(system, target)
+        residual, iterations = np.array(residual), np.array(corrected, dtype=int)
     else:
-        x, history = linsolve.bicgstab(system.matrix, system.rhs, x0, target, cfg.linear.max_iter)
-    if np.any(x < -1e-15 * max(float(x.max()), _TINY)):
-        if system.mesh.dim == 1:
-            apply = functools.partial(_stencil_apply, system.slots)
-        else:
-            apply = system.matrix.__matmul__
-        diag = system.slots[0].ravel()
-        x, polish_hist = linsolve.jacobi_positive_polish(apply, diag, system.rhs, x, target)
-        history = history + polish_hist
+        x = np.empty_like(system.rhs)
+        residual, iterations = np.empty(lead), np.empty(lead, dtype=int)
+        for i in np.ndindex(lead):
+            part = system[i]
+            start = None if x0 is None else x0[i]
+            x[i], history = linsolve.bicgstab(
+                part.matrix, part.rhs, start, target[i], cfg.linear.max_iter
+            )
+            residual[i], iterations[i] = history[-1], len(history) - 1
+    floor = -1e-15 * np.maximum(x.max(axis=-1), _TINY)
+    undershot = x.min(axis=-1) < floor
+    if undershot.any():
+        for i in zip(*np.nonzero(undershot)) if lead else [()]:
+            part = system[i]
+            if system.mesh.dim == 1:
+                apply = functools.partial(_stencil_apply, part.slots)
+            else:
+                apply = part.matrix.__matmul__
+            x[i], history = linsolve.jacobi_positive_polish(
+                apply, part.slots[0].ravel(), part.rhs, x[i], target[i]
+            )
+            residual[i] = history[-1]
+            iterations[i] += len(history)
     nonpos = x <= 0.0
     clamped = int(np.count_nonzero(nonpos))
     if clamped:
         x = np.where(nonpos, _TINY, x)
-    info = SolveInfo(residual=history[-1], iterations=len(history) - 1, clamped=clamped)
-    return x.reshape(system.mesh.shape), info
+    info = SolveInfo(
+        residual=float(residual.max()), iterations=int(iterations.sum()), clamped=clamped
+    )
+    return x.reshape(lead + system.mesh.shape), info
 
 
 def coupling_potential(
@@ -318,18 +376,16 @@ def advance(
     clamped = 0
     linear_iters = 0
     while True:
-        u_new = np.empty_like(u_iter)
-        for i in range(state.n_species):
-            system = assemble(u_n[i], p[i], cfg, mesh)
-            try:
-                u_new[i], info = solve_linear(system, cfg, x0=u_iter[i].ravel())
-            except SolverFailure as exc:
-                raise StepFailure(
-                    str(exc), error_history=errors, residual_history=exc.residual_history
-                ) from exc
-            residual = max(residual, info.residual)
-            clamped += info.clamped
-            linear_iters += info.iterations
+        system = assemble(u_n, p, cfg, mesh)
+        try:
+            u_new, info = solve_linear(system, cfg, x0=u_iter.reshape(system.rhs.shape))
+        except SolverFailure as exc:
+            raise StepFailure(
+                str(exc), error_history=errors, residual_history=exc.residual_history
+            ) from exc
+        residual = max(residual, info.residual)
+        clamped += info.clamped
+        linear_iters += info.iterations
         err = float(np.abs(u_new - u_iter).max())
         errors.append(err)
         u_iter = u_new

@@ -12,11 +12,9 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 
-# Switchover points for the numerically stable Bernoulli evaluation.
+# Switchover points of the stable signed Bernoulli evaluation.
 _TAYLOR_CUT = 1e-5
 _EXP_CUT = 30.0
-
-_MAX_FLOAT = float(np.finfo(float).max)
 
 
 class WeightKind(str, enum.Enum):
@@ -64,37 +62,39 @@ def bernoulli_signed(s):
     return out if out.ndim else float(out)
 
 
-def _sigmoid(s):
-    # 2/(e^s + 1) written overflow-free for s >= 0.
-    es = np.exp(-np.asarray(s, dtype=float))
-    return 2.0 * es / (1.0 + es)
-
-
 def eval_B(kind: WeightKind, s):
     """Evaluate the weight at s >= 0. Returns values in (0, 1]."""
     arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise UsageError("weight argument must be finite and nonnegative")
-    kind = WeightKind(kind)
-    if kind is WeightKind.UPWIND:
-        out = np.ones_like(arr)
-    elif kind is WeightKind.BERNOULLI:
-        out = np.asarray(bernoulli_signed(arr))
-    elif kind is WeightKind.SIGMOID:
-        out = _sigmoid(arr)
-    else:
-        out = np.exp(-arr / 2.0)
-    return out if arr.ndim else float(out)
+    return eval_B_kappa(kind, 1.0, arr)
 
 
 def eval_B_kappa(kind: WeightKind, kappa: float, s):
-    """Scaled weight kappa * B(s / kappa), continuous in both arguments.
+    """Scaled weight kappa * B(s / kappa) at s >= 0, in closed form with x = s / kappa.
 
-    Where s / kappa overflows, the value is its limit kappa * B(inf): 0, or
-    kappa for upwind, which the largest finite argument already gives.
+    Bernoulli s / expm1(x) (kappa at x = 0; formed in place, as a species
+    stack makes every temporary n times larger), sigmoid 2 kappa / (1 + e^x),
+    geometric mean kappa e^(-x/2), upwind kappa. Where x overflows (or s is
+    inf), the value is its limit kappa * B(inf): 0, or kappa for upwind.
     """
-    if not np.isfinite(kappa) or kappa <= 0:
+    if not 0 < kappa < np.inf:
         raise ConfigurationError(f"kappa must be positive, got {kappa}")
-    with np.errstate(over="ignore"):
-        scaled = np.minimum(np.asarray(s, dtype=float) / kappa, _MAX_FLOAT)
-    return kappa * eval_B(kind, scaled)
+    kind = WeightKind(kind)
+    s = np.asarray(s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isnan(np.sum(s)):
+            raise UsageError("weight argument must not be NaN")
+        if kind is WeightKind.UPWIND:
+            out = np.full_like(s, kappa)
+        elif kind is WeightKind.BERNOULLI:
+            x = np.minimum(np.divide(s, kappa), np.finfo(float).max, out=np.empty_like(s))
+            out = np.expm1(x, out=np.empty_like(x))
+            np.divide(x, out, out=out)
+            out *= kappa
+            out[x == 0] = kappa
+        elif kind is WeightKind.SIGMOID:
+            out = 2.0 * kappa / (1.0 + np.exp(s / kappa))
+        else:
+            out = kappa * np.exp(-0.5 * (s / kappa))
+    return out if out.ndim else float(out)

@@ -661,6 +661,27 @@ def test_overflowing_peclet_number_steps_with_the_limit_flux(tmp_path):
     assert summary["max_mass_drift"] <= 1e-10 and summary["min_density"] > 0
 
 
+def test_2d_densities_far_below_the_normal_range_converge(tmp_path):
+    # A second species of order 1e-159: unscaled, BiCGStab's inner products
+    # underflow and it exhausts its iteration budget.
+    path = tiny_config(
+        tmp_path,
+        mesh={"extents": [[0.0, 1.0], [0.0, 1.0]], "cells": [7, 10]},
+        kernel={"shape": "gaussian", "eps": 0.5, "strengths": [[0.1, 0.05], [0.05, 0.1]]},
+        scheme={"kappa": 0.05, "dt": 0.01, "t_end": 0.03},
+        initial=[
+            {"type": "trig", "fn": "sin", "modes": [1, 1], "scale": 0.2, "offset": 1.0},
+            {"type": "trig", "fn": "cos", "modes": [1, 0], "scale": 1.4e-159, "offset": 0.0},
+        ],
+    )
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_steps"] == 3 and summary["min_density"] > 0
+    assert summary["max_mass_drift"] <= 1e-10
+    assert 0 < summary["final_masses"][1] < 1e-157
+
+
 def test_solver_failure_reports_failed_step(tmp_path):
     import dataclasses
 

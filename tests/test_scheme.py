@@ -376,6 +376,133 @@ def test_direct_solve_of_assembled_1d_systems(cells, peclet, kappa, diffusion_nu
     assert np.max(np.abs(sol - np.linalg.solve(a, system.rhs))) <= 1e-10 * np.max(sol)
 
 
+def dense_periodic(diag, upper, lower):
+    """The periodic tridiagonal matrix of one system's slots (2-cell entries add)."""
+    m = diag.size
+    a = np.diag(diag)
+    k = np.arange(m)
+    np.add.at(a, (k, (k + 1) % m), upper)
+    np.add.at(a, (k, (k - 1) % m), lower)
+    return a
+
+
+def stacked_system(cells, n, cfg, rng, scales=None):
+    """An assembled stack of n species' 1D transport systems, species i scaled by scales[i]."""
+    mesh = mesh_1d(cells)
+    u_prev = rng.random((n, cells)) + 0.1
+    if scales is not None:
+        u_prev *= np.asarray(scales)[:, None]
+    return assemble(u_prev, rng.normal(size=(n, cells)), cfg, mesh)
+
+
+@pytest.mark.parametrize("cells", [2, 3, 32, 511])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_cyclic_solve_matches_per_species_and_dense(n, cells):
+    rng = np.random.default_rng(cells + n)
+    cfg = base_cfg(kappa=0.05)
+    system = stacked_system(cells, n, cfg, rng)
+    diag, upper, lower = system.slots
+    x = linsolve.cyclic_tridiagonal(diag, upper, lower, system.rhs)
+    assert x.shape == (n, cells) and np.all(x >= 0)
+    for i in range(n):
+        alone = linsolve.cyclic_tridiagonal(diag[i], upper[i], lower[i], system.rhs[i])
+        dense = np.linalg.solve(dense_periodic(diag[i], upper[i], lower[i]), system.rhs[i])
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(x[i] - alone)) <= 1e-13 * scale
+        assert np.max(np.abs(x[i] - dense)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("cells", [(16,), (5, 4)])
+def test_stacked_assembly_is_the_per_species_assembly(cells):
+    mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),) * len(cells), cells_per_axis=cells))
+    cfg = base_cfg()
+    u_prev = RNG.random((3,) + mesh.shape) + 0.1
+    p = RNG.normal(size=(3,) + mesh.shape)
+    stacked = assemble(u_prev, p, cfg, mesh)
+    assert stacked.rhs.shape == (3, mesh.n_cells)
+    sol, _ = solve_linear(stacked, cfg)
+    for i in range(3):
+        single = assemble(u_prev[i], p[i], cfg, mesh)
+        assert all(np.array_equal(a[i], b) for a, b in zip(stacked.slots, single.slots))
+        assert np.array_equal(stacked.rhs[i], single.rhs)
+        alone, _ = solve_linear(single, cfg)
+        if mesh.dim == 1:  # one reduction for the stack: its level count may differ
+            np.testing.assert_allclose(sol[i], alone, rtol=1e-13)
+        else:  # BiCGStab per species on slices of the stack
+            assert np.array_equal(sol[i], alone)
+    with pytest.raises(ConfigurationError):  # one species without a positive cell
+        assemble(np.stack([u_prev[0], np.zeros(mesh.shape)]), p[:2], cfg, mesh)
+
+
+def test_each_species_meets_its_own_target(monkeypatch):
+    # Right-hand sides 1e12 apart: a target taken over the whole stack would
+    # let the small species keep a first solve that is off by 1e-9.
+    cfg = base_cfg()
+    system = stacked_system(64, 2, cfg, np.random.default_rng(3), scales=[1.0, 1e-12])
+    exact = linsolve.cyclic_tridiagonal
+    monkeypatch.setattr(linsolve, "cyclic_tridiagonal", lambda *args: exact(*args) * (1 + 1e-9))
+    sol, info = solve_linear(system, cfg)
+    assert info.iterations == 2  # one correction per species
+    targets = [cfg.linear.rel_tol * np.abs(system[i].rhs).max() for i in range(2)]
+    for i in range(2):
+        part = system[i]
+        assert np.abs(part.rhs - part.matrix @ sol[i]).max() <= targets[i]
+    # Off by 1e-3, one correction leaves 1e-6: the failure reports a species' own history.
+    monkeypatch.setattr(linsolve, "cyclic_tridiagonal", lambda *args: exact(*args) * (1 + 1e-3))
+    with pytest.raises(SolverFailure) as failure:
+        solve_linear(system, cfg)
+    history = failure.value.residual_history
+    assert len(history) == 2 and history[-1] > targets[0]
+
+
+def test_correction_and_polish_leave_the_other_species_bitwise(monkeypatch):
+    cfg = base_cfg(dt=0.005)
+    mesh = mesh_1d(64)
+    u_prev = np.full((2, 64), 1e-200)
+    u_prev[:, 30:34] = 1.0
+    system = assemble(u_prev, RNG.normal(scale=0.01, size=(2, 64)), cfg, mesh)
+    untouched, _ = solve_linear(system, cfg)
+    exact = linsolve.cyclic_tridiagonal
+    polish = linsolve.jacobi_positive_polish
+    polished = []
+    monkeypatch.setattr(
+        linsolve, "jacobi_positive_polish", lambda *a: polished.append(1) or polish(*a)
+    )
+
+    def spoil_species_0(change):
+        calls = []
+
+        def solve(*args):
+            x = exact(*args)
+            if not calls:  # the first, stacked call
+                change(x[0])
+            calls.append(x.shape)
+            return x
+
+        return solve, calls
+
+    def off(x0):
+        x0 *= 1 + 1e-9
+
+    def undershoot(x0):
+        x0[0] = -1e-14 * x0.max()
+
+    for change, solves, polish_calls in ((off, [(2, 64), (1, 64)], 0), (undershoot, [(2, 64)], 1)):
+        polished.clear()
+        solve, calls = spoil_species_0(change)
+        monkeypatch.setattr(linsolve, "cyclic_tridiagonal", solve)
+        sol, info = solve_linear(system, cfg)
+        assert np.array_equal(sol[1], untouched[1])
+        assert calls == solves and len(polished) == polish_calls
+        if polish_calls:
+            assert info.iterations >= 1  # the polish sweeps
+        else:
+            assert info.iterations == 1  # one correction step
+        assert np.all(sol > 0)
+        part = system[0]
+        assert np.abs(part.rhs - part.matrix @ sol[0]).max() <= cfg.linear.rel_tol * part.rhs.max()
+
+
 # ---------------------------------------------------------------------------
 # advance / run
 
@@ -448,7 +575,8 @@ def test_first_sweep_after_a_predecessor_convolves_nothing(coupling, monkeypatch
         scheme, "assemble", lambda *args: calls_at_assembly.append(len(calls)) or assemble_(*args)
     )
     _, report = advance(state, kernel, cfg, compute_diagnostics=False)
-    assert calls_at_assembly[:2] == [0, 0]  # both species of the first sweep
+    assert calls_at_assembly[0] == 0  # the first sweep, both species in one assembly
+    assert len(calls_at_assembly) == report.picard_iters  # one assembly per sweep
     assert len(calls) == report.picard_iters  # one per later sweep, one for the new p
 
 
