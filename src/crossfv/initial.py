@@ -1,4 +1,10 @@
-"""Initial-datum descriptors and their exact cell-average projection."""
+"""Initial-datum descriptors and their exact cell-average projection.
+
+Every datum has closed-form cell averages: constants are their own, box
+data average by per-axis overlap fractions and trigonometric data by their
+centre value damped by one sinc factor per axis. A datum may be rescaled to
+a positive target mass.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import Mesh
-
-_SMOOTH_QUAD_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ def parse_descriptor(raw: dict):
             lo=tuple(_finite(v, "lo") for v in raw["lo"]),
             hi=tuple(_finite(v, "hi") for v in raw["hi"]),
             amplitude=_finite(raw.get("amplitude", 1.0), "amplitude"),
-            normalize_to=_opt_finite(raw.get("normalize_to")),
+            normalize_to=_normalize_to(raw.get("normalize_to")),
         )
     if kind == "trig":
         fn = raw.get("fn", "sin")
@@ -62,7 +66,7 @@ def parse_descriptor(raw: dict):
             modes=tuple(int(k) for k in raw["modes"]),
             scale=_finite(raw.get("scale", 1.0), "scale"),
             offset=_finite(raw.get("offset", 0.0), "offset"),
-            normalize_to=_opt_finite(raw.get("normalize_to")),
+            normalize_to=_normalize_to(raw.get("normalize_to")),
         )
     raise ConfigurationError(f"unknown initial-datum type {kind!r}")
 
@@ -75,15 +79,22 @@ def _finite(v, key: str) -> float:
     return value
 
 
-def _opt_finite(v):
-    return None if v is None else _finite(v, "normalize_to")
+def _normalize_to(v):
+    """A target mass; zero or negative would floor every cell to the smallest normal float."""
+    if v is None:
+        return None
+    value = _finite(v, "normalize_to")
+    if value <= 0:
+        raise ConfigurationError(f"initial datum normalize_to must be positive, got {value}")
+    return value
 
 
 def project_initial(descriptor, mesh: Mesh) -> np.ndarray:
     """Cell averages u_K = m(K)^-1 int_K u0.
 
-    Box data is integrated by exact per-axis overlap fractions; smooth
-    trigonometric data by tensor Gauss-Legendre quadrature of order 6.
+    Box data is integrated by exact per-axis overlap fractions;
+    trigonometric data by the closed form: the profile at the cell centre,
+    its oscillating part damped by sinc(k_l / M_l) on each axis.
     """
     if isinstance(descriptor, ConstantIC):
         field = np.full(mesh.shape, descriptor.value)
@@ -134,26 +145,14 @@ def _project_trig(descriptor: TrigIC, mesh: Mesh) -> np.ndarray:
     if len(descriptor.modes) != mesh.dim:
         raise ConfigurationError("trig mode vector must match the mesh dimension")
     fn = np.sin if descriptor.fn == "sin" else np.cos
-    nodes, wts = np.polynomial.legendre.leggauss(_SMOOTH_QUAD_ORDER)
-    # Phase is linear in x, so the tensor quadrature reduces to the sum of
-    # per-axis phases evaluated on the q^d node combinations.
-    axis_pts = []
-    for axis in range(mesh.dim):
-        centers = mesh.axis_coordinates(axis)
-        axis_pts.append(centers[:, None] + 0.5 * mesh.dx[axis] * nodes[None, :])
-    out = np.zeros(mesh.shape)
-    q = _SMOOTH_QUAD_ORDER
-    for combo in np.ndindex(*([q] * mesh.dim)):
-        phase = np.zeros(mesh.shape)
-        weight = 1.0
-        for axis, node_idx in enumerate(combo):
-            a_l, b_l = mesh.spec.extents[axis]
-            x = axis_pts[axis][:, node_idx]
-            rel = (x - a_l) / (b_l - a_l)
-            term = 2.0 * np.pi * descriptor.modes[axis] * rel
-            shape = [1] * mesh.dim
-            shape[axis] = -1
-            phase = phase + term.reshape(shape)
-            weight *= 0.5 * wts[node_idx]
-        out += weight * fn(phase)
-    return descriptor.scale * out + descriptor.offset
+    # The average of exp(i 2 pi k (x - a) / L) over a cell of width L / M is
+    # its centre value times sinc(k / M), so each axis adds its centre phase
+    # and multiplies in its sinc factor.
+    phase = 0.0
+    damping = 1.0
+    for axis, (k, m) in enumerate(zip(descriptor.modes, mesh.shape)):
+        shape = [1] * mesh.dim
+        shape[axis] = m
+        phase = phase + (2.0 * np.pi * k * (np.arange(m) + 0.5) / m).reshape(shape)
+        damping *= np.sinc(k / m)
+    return descriptor.scale * damping * fn(phase) + descriptor.offset

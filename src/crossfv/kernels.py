@@ -145,7 +145,7 @@ class DiscreteKernel:
                 f"fields shape {fields.shape} does not match "
                 f"{(self.n_species,) + self.mesh.shape}"
             )
-        mixed = np.tensordot(self.spec.strengths, fields, axes=1)
+        mixed = (self.spec.strengths @ fields.reshape(self.n_species, -1)).reshape(fields.shape)
         return self.mesh.cell_measure * _fft_apply(self.spectrum, mixed, self.extension)
 
 
@@ -153,10 +153,11 @@ def discretize(spec: KernelSpec, mesh: Mesh) -> DiscreteKernel:
     """Cell-pair-averaged unit-strength kernel via per-axis tensor quadrature.
 
     The double cell average of each built-in shape factorizes per axis, so
-    a 1D averaged factor is computed per axis (exact piecewise integration
-    for top-hat shapes, Gauss-Legendre of the configured order otherwise)
-    and the offset table is their outer product. Factors are mirrored from
-    nonnegative offsets, making the discrete symmetry exact.
+    a 1D averaged factor is computed per axis, at all nonnegative offsets in
+    one array pass (exact piecewise integration for top-hat shapes,
+    Gauss-Legendre of the configured order otherwise), and the offset table
+    is their outer product. Factors are mirrored from nonnegative offsets,
+    making the discrete symmetry exact.
     """
     factors = tuple(
         _axis_table(spec.shape, mesh, axis, spec.extension, spec.quadrature_order)
@@ -172,6 +173,8 @@ def _axis_table(shape, mesh: Mesh, axis: int, extension: Extension, q: int) -> n
     dx = mesh.dx[axis]
     length = mesh.spec.extents[axis][1] - mesh.spec.extents[axis][0]
     periodic = extension is Extension.PERIODIC_WRAP
+    half = m // 2 if periodic else m - 1
+    centers = np.arange(half + 1) * dx
 
     if isinstance(shape, TopHat):
         if periodic:
@@ -180,46 +183,27 @@ def _axis_table(shape, mesh: Mesh, axis: int, extension: Extension, q: int) -> n
             images = np.arange(-n_img, n_img + 1) * length
         else:
             images = np.zeros(1)
-
-        def avg(c: float) -> float:
-            return sum(_tophat_axis_average(c + img, shape.radius, dx) for img in images)
-
+        pos = sum(_tophat_axis_average(centers + img, shape.radius, dx) for img in images)
     else:
         nodes, wts = np.polynomial.legendre.leggauss(q)
         nodes = 0.5 * dx * (nodes + 1.0)
         wts = 0.5 * dx * wts
-        diff = np.subtract.outer(nodes, nodes)
-        wmat = np.multiply.outer(wts, wts)
-        inv_eps2 = 1.0 / (2.0 * shape.eps**2)
+        # One row of q * q node differences per offset.
+        z = np.add.outer(centers, np.subtract.outer(nodes, nodes).ravel())
         if periodic:
+            z -= length * np.round(z / length)
             # Image sum to full double accuracy: terms beyond
             # |m| > 8.6 eps / L are below 2^-53 relative to the peak.
             images = _gaussian_images(shape.eps, length)
         else:
             images = np.zeros(1)
+        inv_eps2 = 1.0 / (2.0 * shape.eps**2)
+        acc = sum(np.exp(-np.square(z + img) * inv_eps2) for img in images)
+        pos = (np.multiply.outer(wts, wts).ravel() * acc).sum(axis=1) / (dx * dx)
 
-        def avg(c: float) -> float:
-            z = c + diff
-            if periodic:
-                z = z - length * np.round(z / length)
-            acc = np.zeros_like(z)
-            for img in images:
-                zz = z + img
-                acc += np.exp(-zz * zz * inv_eps2)
-            return float(np.sum(wmat * acc)) / (dx * dx)
-
-    half = m // 2 if periodic else m - 1
-    pos = np.array([avg(delta * dx) for delta in range(half + 1)])
     if periodic:
-        out = np.empty(m)
-        out[: half + 1] = pos
-        for delta in range(half + 1, m):
-            out[delta] = out[m - delta]
-    else:
-        out = np.empty(2 * m - 1)
-        out[m - 1 :] = pos
-        out[: m - 1] = pos[1:][::-1]
-    return out
+        return np.concatenate((pos, pos[1 : m - half][::-1]))
+    return np.concatenate((pos[:0:-1], pos))
 
 
 def _gaussian_images(eps: float, length: float) -> np.ndarray:
@@ -227,17 +211,16 @@ def _gaussian_images(eps: float, length: float) -> np.ndarray:
     return np.arange(-n_img, n_img + 1) * length
 
 
-def _tophat_axis_average(c: float, radius: float, dx: float) -> float:
-    """Exact (1/dx^2) * int over two cells of 1{|c + x - y| <= R}.
+def _tophat_axis_average(c: np.ndarray, radius: float, dx: float) -> np.ndarray:
+    """Exact (1/dx^2) * int over two cells of 1{|c + x - y| <= R}, at every offset c.
 
-    Reduces to integrating the tent (dx - |t|) over the band |c + t| <= R.
+    Reduces to integrating the tent (dx - |t|) over the band |c + t| <= R;
+    where the band misses the tent, hi is clamped to lo and the integral is 0.
     """
-    lo = max(-dx, -radius - c)
-    hi = min(dx, radius - c)
-    if hi <= lo:
-        return 0.0
+    lo = np.maximum(-dx, -radius - c)
+    hi = np.maximum(np.minimum(dx, radius - c), lo)
 
-    def tent_antideriv(t: float) -> float:
+    def tent_antideriv(t: np.ndarray) -> np.ndarray:
         return dx * t - np.sign(t) * t * t / 2.0
 
     return (tent_antideriv(hi) - tent_antideriv(lo)) / (dx * dx)

@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 
-# Switchover points of the stable signed Bernoulli evaluation.
-_TAYLOR_CUT = 1e-5
-_EXP_CUT = 30.0
-
 
 class WeightKind(str, enum.Enum):
     UPWIND = "upwind"
@@ -37,29 +33,6 @@ _ALPHA = {
     WeightKind.SIGMOID: 0.5,
     WeightKind.GEOMETRIC_MEAN: 0.5,
 }
-
-
-def bernoulli_signed(s):
-    """Bernoulli function s/(e^s - 1) on the whole real line.
-
-    The signed extension exists to test the reflection identity
-    B(-s) = B(s) + s; the flux itself only evaluates at s >= 0.
-    Stable across the full range: Taylor series near 0, exponential
-    rewrite for large |s| (no overflow, correct underflow).
-    """
-    s = np.asarray(s, dtype=float)
-    small = np.abs(s) < _TAYLOR_CUT
-    big = s > _EXP_CUT
-    mid = ~(small | big)
-    out = np.empty_like(s)
-    ss = s[small]
-    out[small] = 1.0 - ss / 2.0 + ss * ss / 12.0
-    sm = s[mid]
-    out[mid] = sm / np.expm1(sm)
-    sb = s[big]
-    # s*e^-s/(1 - e^-s); e^-s underflows gracefully for huge s.
-    out[big] = sb * np.exp(-sb) / (-np.expm1(-sb))
-    return out if out.ndim else float(out)
 
 
 def eval_B(kind: WeightKind, s):

@@ -8,9 +8,12 @@ the package's FFT path. The pair (i, j) table is ``alpha_ij * kernel.table``;
 ``direct_potentials``, ``kernel_value``, ``quadratic_form`` and
 ``dense_form_eigenvalues`` read it pair by pair, cell pair by cell pair or
 as one dense matrix; they are the brute-force references for the
-potentials and for ``check_psd``.
+potentials and for ``check_psd``. ``axis_table`` builds a kernel's per-axis
+factor one offset at a time, the reference for ``discretize``.
 
-Flux: ``edges``, ``neighbor`` and ``edge_cells`` walk the mesh edge by
+Flux: ``bernoulli_signed`` is B(s) = s/(e^s - 1) on the whole real line,
+so the flux can be checked against its two-sided Scharfetter-Gummel form.
+``edges``, ``neighbor`` and ``edge_cells`` walk the mesh edge by
 edge, an edge being a plain ``(owner cell, positive 1-based axis)`` tuple.
 ``edge_flux``, ``axis_fluxes``, ``flux_divergence`` and ``scheme_residual``
 evaluate the scheme's flux outside the matrix that ``assemble`` builds, and
@@ -29,7 +32,7 @@ import numpy as np
 
 from crossfv import Extension, UsageError, entropy_boltzmann, linsolve, productions
 from crossfv.diagnostics import _rao, _verdicts
-from crossfv.kernels import _fft_apply, _spectrum
+from crossfv.kernels import TopHat, _fft_apply, _gaussian_images, _spectrum
 from crossfv.mesh import axis_difference
 from crossfv.scheme import coupling_potential
 from crossfv.weights import eval_B_kappa
@@ -142,6 +145,90 @@ def dense_form_eigenvalues(kernel) -> np.ndarray:
             ] = pair_table(kernel, i, j)[diff]
     big *= mesh.cell_measure
     return np.linalg.eigvalsh(0.5 * (big + big.T))
+
+
+def axis_table(shape, mesh, axis, extension, q) -> np.ndarray:
+    """Oracle for the axis factors of ``discretize``, one offset at a time."""
+    m = mesh.shape[axis]
+    dx = mesh.dx[axis]
+    length = mesh.spec.extents[axis][1] - mesh.spec.extents[axis][0]
+    periodic = Extension(extension) is Extension.PERIODIC_WRAP
+
+    if isinstance(shape, TopHat):
+        if periodic:
+            n_img = max(1, int(np.ceil((shape.radius + dx) / length)))
+            images = np.arange(-n_img, n_img + 1) * length
+        else:
+            images = np.zeros(1)
+
+        def avg(c: float) -> float:
+            return sum(_tophat_average(c + img, shape.radius, dx) for img in images)
+
+    else:
+        nodes, wts = np.polynomial.legendre.leggauss(q)
+        nodes = 0.5 * dx * (nodes + 1.0)
+        wts = 0.5 * dx * wts
+        diff = np.subtract.outer(nodes, nodes)
+        wmat = np.multiply.outer(wts, wts)
+        inv_eps2 = 1.0 / (2.0 * shape.eps**2)
+        images = _gaussian_images(shape.eps, length) if periodic else np.zeros(1)
+
+        def avg(c: float) -> float:
+            z = c + diff
+            if periodic:
+                z = z - length * np.round(z / length)
+            acc = np.zeros_like(z)
+            for img in images:
+                zz = z + img
+                acc += np.exp(-zz * zz * inv_eps2)
+            return float(np.sum(wmat * acc)) / (dx * dx)
+
+    half = m // 2 if periodic else m - 1
+    pos = np.array([avg(delta * dx) for delta in range(half + 1)])
+    if periodic:
+        out = np.empty(m)
+        out[: half + 1] = pos
+        for delta in range(half + 1, m):
+            out[delta] = out[m - delta]
+    else:
+        out = np.empty(2 * m - 1)
+        out[m - 1 :] = pos
+        out[: m - 1] = pos[1:][::-1]
+    return out
+
+
+def _tophat_average(c: float, radius: float, dx: float) -> float:
+    """(1/dx^2) * int over two cells of 1{|c + x - y| <= R}, by the tent (dx - |t|)."""
+    lo = max(-dx, -radius - c)
+    hi = min(dx, radius - c)
+    if hi <= lo:
+        return 0.0
+
+    def tent_antideriv(t: float) -> float:
+        return dx * t - np.sign(t) * t * t / 2.0
+
+    return (tent_antideriv(hi) - tent_antideriv(lo)) / (dx * dx)
+
+
+def bernoulli_signed(s):
+    """Bernoulli function s/(e^s - 1) on the whole real line.
+
+    Stable across the full range: Taylor series near 0, exponential rewrite
+    for large s (no overflow, correct underflow).
+    """
+    s = np.asarray(s, dtype=float)
+    small = np.abs(s) < 1e-5
+    big = s > 30.0
+    mid = ~(small | big)
+    out = np.empty_like(s)
+    ss = s[small]
+    out[small] = 1.0 - ss / 2.0 + ss * ss / 12.0
+    sm = s[mid]
+    out[mid] = sm / np.expm1(sm)
+    sb = s[big]
+    # s*e^-s/(1 - e^-s); e^-s underflows gracefully for huge s.
+    out[big] = sb * np.exp(-sb) / (-np.expm1(-sb))
+    return out if out.ndim else float(out)
 
 
 def _as_cell(cell, dim) -> tuple:

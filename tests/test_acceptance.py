@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 from oracles import (
     assembled_fluxes,
+    bernoulli_signed,
     bicgstab_polished,
     convolve,
     direct_convolve,
@@ -38,7 +39,6 @@ from crossfv import (
     solve_linear,
 )
 from crossfv.scheme import assemble
-from crossfv.weights import bernoulli_signed
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 RNG = np.random.default_rng(2024)

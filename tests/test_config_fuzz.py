@@ -2,9 +2,10 @@
 
 Every accepted input must run or fail cleanly: exit 0 (success), 2 (bad
 config) or 3 (step failure), never a traceback, with a `summary.json` after
-every run that started stepping. A successful run keeps the structure the
-scheme guarantees: positive densities, conserved masses and the Boltzmann
-entropy inequality, which holds unconditionally.
+every run that started stepping; a config spoiled by a value the checks
+must reject exits 2. A successful run keeps the structure the scheme
+guarantees: positive densities, conserved masses and the Boltzmann entropy
+inequality, which holds unconditionally.
 """
 
 import contextlib
@@ -17,6 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfv.cli import main as cli_main
+
+
+def _zero_target_mass(raw):
+    dim = len(raw["mesh"]["extents"])
+    raw["initial"][0] = {"type": "trig", "modes": [0] * dim, "offset": 1.0, "normalize_to": 0.0}
+
 
 # Each spoils a valid config in one place: the first with a Picard budget of
 # one sweep, which a step may exhaust (exit 3), the others with a key or value
@@ -33,6 +40,7 @@ BAD_VALUES = [
     lambda raw: raw["initial"].pop(),
     lambda raw: raw["initial"][0].update(type="constant", value=float("nan")),
     lambda raw: raw.update(snapshot_times=[raw["scheme"]["t_end"] * 2]),
+    _zero_target_mass,
 ]
 
 
@@ -48,14 +56,20 @@ def initial_datum(draw, extents):
             width = draw(st.floats(0.1, 1.0 - start))
             lo.append(a + start * (b - a))
             hi.append(a + (start + width) * (b - a))
-        return {"type": kind, "lo": lo, "hi": hi, "amplitude": draw(st.floats(0.1, 2.0))}
-    return {
-        "type": kind,
-        "fn": draw(st.sampled_from(["sin", "cos"])),
-        "modes": draw(st.lists(st.integers(-2, 2), min_size=len(extents), max_size=len(extents))),
-        "scale": draw(st.floats(-1.0, 1.0)),
-        "offset": draw(st.floats(0.0, 2.0)),
-    }
+        datum = {"type": kind, "lo": lo, "hi": hi, "amplitude": draw(st.floats(0.1, 2.0))}
+    else:
+        datum = {
+            "type": kind,
+            "fn": draw(st.sampled_from(["sin", "cos"])),
+            "modes": draw(
+                st.lists(st.integers(-2, 2), min_size=len(extents), max_size=len(extents))
+            ),
+            "scale": draw(st.floats(-1.0, 1.0)),
+            "offset": draw(st.floats(0.0, 2.0)),
+        }
+    if draw(st.booleans()):
+        datum["normalize_to"] = draw(st.floats(0.01, 2.0))
+    return datum
 
 
 @st.composite
@@ -90,14 +104,17 @@ def configs(draw):
         "initial": [draw(initial_datum(extents)) for _ in range(n)],
         "diagnostics_every": draw(st.integers(0, 2)),
     }
+    spoiler = None
     if draw(st.sampled_from([False, False, False, True])):
-        draw(st.sampled_from(BAD_VALUES))(raw)
-    return raw
+        spoiler = draw(st.sampled_from(BAD_VALUES))
+        spoiler(raw)
+    return raw, spoiler
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(raw=configs())
-def test_drawn_configs_run_or_fail_cleanly(raw):
+@given(case=configs())
+def test_drawn_configs_run_or_fail_cleanly(case):
+    raw, spoiler = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
@@ -107,6 +124,8 @@ def test_drawn_configs_run_or_fail_cleanly(raw):
             code = cli_main(["run", "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        if spoiler not in (None, BAD_VALUES[0]):
+            assert code == 2, err.getvalue()
         if code in (0, 3):
             summary = json.loads((out / "summary.json").read_text())
         if code == 0:

@@ -88,20 +88,22 @@ def test_sine_cell_averages_match_closed_form():
 
 
 def test_2d_diagonal_wave_matches_corner_antiderivative():
-    mesh = build_mesh(MeshSpec(extents=((0, 1), (0, 1)), cells_per_axis=(8, 8)))
-    field = project_initial(TrigIC(fn="sin", modes=(1, -1), scale=1.0, offset=0.0), mesh)
+    # The diagonal wave of the 2D recipes, and higher modes on a coarse mesh
+    # with only 3 to 4 cells per wavelength.
+    for cells, (k1, k2) in [((8, 8), (1, -1)), ((7, 9), (2, 3))]:
+        mesh = build_mesh(MeshSpec(extents=((0, 1), (0, 1)), cells_per_axis=cells))
+        field = project_initial(TrigIC(fn="sin", modes=(k1, k2), scale=1.0, offset=0.0), mesh)
 
-    def anti(x, y):
-        # d^2/dxdy of sin(2 pi (x-y))/(4 pi^2) = sin(2 pi (x-y))
-        return np.sin(2 * np.pi * (x - y)) / (4 * np.pi**2)
+        def anti(x, y):
+            # d^2/dxdy of this is sin(2 pi (k1 x + k2 y))
+            return -np.sin(2 * np.pi * (k1 * x + k2 * y)) / (4 * np.pi**2 * k1 * k2)
 
-    dx = dy = 1 / 8
-    for i in (0, 3, 5):
-        for j in (1, 4, 7):
-            x0, x1 = i * dx, (i + 1) * dx
-            y0, y1 = j * dy, (j + 1) * dy
-            integral = anti(x1, y1) - anti(x0, y1) - anti(x1, y0) + anti(x0, y0)
-            assert field[i, j] == pytest.approx(integral / (dx * dy), rel=1e-12, abs=1e-13)
+        x = np.linspace(0.0, 1.0, cells[0] + 1)[:, None]
+        y = np.linspace(0.0, 1.0, cells[1] + 1)[None, :]
+        corners = anti(x, y)
+        integral = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
+        exact = integral * cells[0] * cells[1]
+        assert np.max(np.abs(field - exact)) <= 1e-14
 
 
 def test_mass_normalization():
@@ -509,6 +511,12 @@ def strengths(value):
          [], "initial datum amplitude must be finite"),
         ({"initial": [{"type": "trig", "modes": [1], "offset": float("nan")}]}, [],
          "initial datum offset must be finite"),
+        # A target mass of zero or less would floor every cell to the smallest
+        # normal float and run from a mass of about 1e-308.
+        ({"initial": [{"type": "trig", "modes": [1], "offset": 1.0, "normalize_to": -0.5}]},
+         [], "normalize_to must be positive"),
+        ({"initial": [{"type": "box", "lo": [0.25], "hi": [0.5], "normalize_to": 0.0}]},
+         [], "normalize_to must be positive"),
     ],
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
@@ -521,6 +529,7 @@ def strengths(value):
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
         "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
         "nan-picard-tol", "nan-rel-tol", "nan-constant", "nan-amplitude", "nan-offset",
+        "negative-normalize-to", "zero-normalize-to",
     ],
 )
 def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, args, message):

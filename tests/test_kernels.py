@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from oracles import (
+    axis_table,
     convolve,
     dense_form_eigenvalues,
     direct_convolve,
@@ -155,6 +156,18 @@ def test_discrete_symmetry_exact():
             if extension is Extension.PERIODIC_WRAP:
                 mirrored = np.roll(mirrored, 1, axis=tuple(range(mesh.dim)))
             assert np.array_equal(kernel.table, mirrored)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 16, 500, 2048])
+def test_axis_factors_bitwise_equal_per_offset_oracle(m):
+    # On a domain of length 2 the top-hat of radius 2.5 is wider than the
+    # domain, so its periodic image sum has overlapping images.
+    mesh = build_mesh(MeshSpec(extents=((-1.0, 1.0),), cells_per_axis=(m,)))
+    for shape in (Gaussian(eps=0.3), Gaussian(eps=0.02), TopHat(radius=0.3), TopHat(radius=2.5)):
+        for extension in Extension:
+            factor = discretize(single_species(shape, extension=extension), mesh).axis_factors[0]
+            expected = axis_table(shape, mesh, 0, extension, 4)
+            assert factor.tobytes() == expected.tobytes(), (shape, extension)
 
 
 def test_spec_validation():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     assembled_fluxes,
     axis_fluxes,
+    bernoulli_signed,
     bicgstab_polished,
     edge_flux,
     flux_divergence,
@@ -39,7 +40,6 @@ from crossfv import (
 )
 from crossfv import linsolve, scheme
 from crossfv.kernels import Extension
-from crossfv.weights import bernoulli_signed
 
 RNG = np.random.default_rng(42)
 TINY = float(np.finfo(float).tiny)
