@@ -12,7 +12,7 @@ import logging
 import sys
 
 from .errors import ConfigurationError, CrossFVError, StepFailure
-from .harness import _build_problem, _kernel_reports, parse_config, run_experiment
+from .harness import _MODES, _build_problem, _kernel_reports, parse_config, run_experiment
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -21,20 +21,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=None, help="ladder-entry parallelism")
 
 
-_MODE_BY_COMMAND = {
-    "run": "run",
-    "converge-space": "converge_space",
-    "converge-time": "converge_time",
-}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="crossfv",
         description="Finite-volume solver for nonlocal cross-diffusion population systems",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in (*_MODE_BY_COMMAND, "check-kernel"):
+    for command in (*(mode.replace("_", "-") for mode in _MODES), "check-kernel"):
         sub = subparsers.add_parser(command)
         _add_common(sub)
     args = parser.parse_args(argv)
@@ -47,8 +40,8 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         if args.threads is not None:
             overrides["threads"] = args.threads
-        if args.command in _MODE_BY_COMMAND:
-            overrides["mode"] = _MODE_BY_COMMAND[args.command]
+        if args.command != "check-kernel":
+            overrides["mode"] = args.command.replace("-", "_")
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
     except ConfigurationError as exc:

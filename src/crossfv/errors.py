@@ -1,6 +1,8 @@
-"""Exception taxonomy shared across the solver."""
+"""Exception taxonomy shared across the solver, and the config integer rule."""
 
 from __future__ import annotations
+
+from numbers import Real
 
 
 class CrossFVError(Exception):
@@ -9,6 +11,15 @@ class CrossFVError(Exception):
 
 class ConfigurationError(CrossFVError):
     """Invalid mesh/kernel/scheme/experiment configuration."""
+
+
+def _integer(value, key: str, minimum: int | None = None) -> int:
+    """An integer of at least `minimum`, else an error naming `key`; 16.0 passes, 16.7 fails."""
+    ok = not isinstance(value, bool) and isinstance(value, Real) and float(value).is_integer()
+    if not ok or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{key} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 class UsageError(CrossFVError):

@@ -17,14 +17,15 @@ import concurrent.futures
 import dataclasses
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
-from .errors import ConfigurationError, StepFailure, UsageError
-from .initial import BoxIC, ConstantIC, TrigIC, parse_descriptor, project_initial
+from .errors import ConfigurationError, StepFailure, UsageError, _integer
+from .initial import DATUM_TYPES, parse_descriptor, project_initial
 from .kernels import (
     DiscreteKernel,
     Extension,
@@ -52,20 +53,31 @@ _MODES = ("run", "converge_space", "converge_time")
 
 @dataclass
 class ExperimentConfig:
-    name: str
     mesh: MeshSpec
     kernel: KernelSpec
     scheme: SchemeConfig
     initial: list
+    name: str = "experiment"
     mode: str = "run"
     space_ladder: list = dataclasses.field(default_factory=list)
     dt_ladder_divisors: list = dataclasses.field(default_factory=list)
     snapshot_times: list = dataclasses.field(default_factory=list)
-    diagnostics_every: int = 1
+    # None (unset): a full report every step in run mode, none in the ladders.
+    diagnostics_every: int | None = None
     out_dir: str | None = None
     threads: int = 1
 
     def __post_init__(self):
+        self.name = str(self.name)
+        self.space_ladder = [_integer(m, "space_ladder") for m in self.space_ladder]
+        self.dt_ladder_divisors = [
+            _integer(d, "dt_ladder_divisors") for d in self.dt_ladder_divisors
+        ]
+        self.snapshot_times = list(self.snapshot_times)
+        if self.diagnostics_every is not None:
+            every = _integer(self.diagnostics_every, "diagnostics_every", minimum=0)
+            self.diagnostics_every = every
+        self.threads = _integer(self.threads, "threads", minimum=1)
         if self.mode not in _MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         if len(self.initial) != self.kernel.n_species:
@@ -73,8 +85,11 @@ class ExperimentConfig:
                 "need exactly one initial datum per species "
                 f"({self.kernel.n_species}), got {len(self.initial)}"
             )
-        if self.mode in ("converge_space", "converge_time") and self.snapshot_times:
-            raise ConfigurationError(f"snapshot_times are not written in mode {self.mode}")
+        if self.mode != "run":
+            # The ladders write no per-step output.
+            for key in ("snapshot_times", "diagnostics_every"):
+                if getattr(self, key):
+                    raise ConfigurationError(f"{key} is not used in mode {self.mode}")
         if self.mode == "converge_space":
             cells = self.mesh.cells_per_axis
             if len(set(cells)) != 1:
@@ -94,12 +109,13 @@ class ExperimentConfig:
             # A run with t_end = 0 takes no step (set-up only) and writes no snapshot.
             if n_steps and round(steps) > n_steps:
                 raise ConfigurationError(f"snapshot time {t} is after t_end {self.scheme.t_end}")
-        if self.diagnostics_every < 0:
-            raise ConfigurationError(
-                f"diagnostics_every must be >= 0, got {self.diagnostics_every}"
-            )
-        if self.threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
+
+    @property
+    def report_every(self) -> int:
+        """Steps between full diagnostics reports; 0 for none."""
+        if self.diagnostics_every is None:
+            return 1 if self.mode == "run" else 0
+        return self.diagnostics_every
 
 
 def _check_ladder(name: str, ladder: list, reference: int) -> None:
@@ -124,17 +140,12 @@ def _check_ladder(name: str, ladder: list, reference: int) -> None:
             raise ConfigurationError(f"refinement factor {factor} is not a power of two")
 
 
-def _integer(value, key: str) -> int:
-    """An integer config value; a fraction is an error, never truncated."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def parse_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file path or a parsed dict."""
+    """Build an ExperimentConfig from a JSON file path or a parsed dict.
+
+    Only the keys present are passed on: the config dataclasses own every
+    default and value rule.
+    """
     if isinstance(source, (str, os.PathLike)):
         try:
             with open(source) as handle:
@@ -146,60 +157,28 @@ def parse_config(source) -> ExperimentConfig:
     else:
         raw = dict(source)
     try:
-        _reject_unknown(raw, _TOP_KEYS, "")
-        _reject_unknown(raw["mesh"], _MESH_KEYS, "mesh.")
-        for index, datum in enumerate(raw["initial"]):
-            fields = _DATUM_KEYS.get(dict(datum).get("type"))
-            if fields is not None:  # an unknown type is reported by parse_descriptor
-                _reject_unknown(datum, fields | {"type"}, f"initial[{index}].")
-                for k in datum.get("modes", ()):
-                    _integer(k, f"initial[{index}].modes")
-        mesh = MeshSpec(
-            extents=tuple(tuple(e) for e in raw["mesh"]["extents"]),
-            cells_per_axis=tuple(_integer(m, "mesh.cells") for m in raw["mesh"]["cells"]),
+        _reject_unknown(raw, _keys(ExperimentConfig) | {"description"}, "")
+        _reject_unknown(raw["mesh"], {"extents", "cells"}, "mesh.")
+        fields = {key: value for key, value in raw.items() if key != "description"}
+        fields.update(
+            mesh=MeshSpec(extents=raw["mesh"]["extents"], cells_per_axis=raw["mesh"]["cells"]),
+            kernel=_parse_kernel(raw["kernel"]),
+            scheme=_parse_scheme(raw["scheme"]),
+            initial=[_parse_datum(datum, index) for index, datum in enumerate(raw["initial"])],
         )
-        kernel = _parse_kernel(raw["kernel"])
-        scheme = _parse_scheme(raw["scheme"])
-        initial = [parse_descriptor(d) for d in raw["initial"]]
-        return ExperimentConfig(
-            name=str(raw.get("name", "experiment")),
-            mesh=mesh,
-            kernel=kernel,
-            scheme=scheme,
-            initial=initial,
-            mode=str(raw.get("mode", "run")),
-            space_ladder=[_integer(m, "space_ladder") for m in raw.get("space_ladder", [])],
-            dt_ladder_divisors=[
-                _integer(d, "dt_ladder_divisors") for d in raw.get("dt_ladder_divisors", [])
-            ],
-            snapshot_times=list(raw.get("snapshot_times", [])),
-            diagnostics_every=_integer(raw.get("diagnostics_every", 1), "diagnostics_every"),
-            out_dir=raw.get("out_dir"),
-            threads=_integer(raw.get("threads", 1), "threads"),
-        )
+        return ExperimentConfig(**fields)
     except KeyError as exc:
         raise ConfigurationError(f"config is missing required key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
 
-_TOP_KEYS = {
-    "name", "description", "mesh", "kernel", "scheme", "initial", "mode",
-    "space_ladder", "dt_ladder_divisors", "snapshot_times", "diagnostics_every",
-    "out_dir", "threads",
-}
-_MESH_KEYS = {"extents", "cells"}
-_KERNEL_KEYS = {"shape", "strengths", "extension", "quadrature_order"}
-_SHAPE_KEYS = {"gaussian": {"eps"}, "top_hat": {"radius"}}
-_SCHEME_KEYS = {
-    "kappa", "dt", "dt_divisor", "t_end", "weight", "coupling",
-    "picard_tol", "picard_max_iter", "linear_solver",
-}
-_LINEAR_KEYS = {"rel_tol", "max_iter"}
-_DATUM_KEYS = {
-    kind: {f.name for f in dataclasses.fields(cls)}
-    for kind, cls in (("constant", ConstantIC), ("box", BoxIC), ("trig", TrigIC))
-}
+_SHAPES = {"gaussian": (Gaussian, "eps"), "top_hat": (TopHat, "radius")}
+
+
+def _keys(cls) -> set:
+    """The JSON keys of a config section: the field names of its dataclass."""
+    return {field.name for field in dataclasses.fields(cls)}
 
 
 def _reject_unknown(raw: dict, allowed: set, prefix: str) -> None:
@@ -215,46 +194,37 @@ def _reject_unknown(raw: dict, allowed: set, prefix: str) -> None:
 
 def _parse_kernel(raw: dict) -> KernelSpec:
     name = raw["shape"]
-    if name not in _SHAPE_KEYS:
+    if name not in _SHAPES:
         raise ConfigurationError(f"unknown kernel shape {name!r}")
-    _reject_unknown(raw, _KERNEL_KEYS | _SHAPE_KEYS[name], "kernel.")
-    if name == "gaussian":
-        shape = Gaussian(eps=float(raw["eps"]))
-    else:
-        shape = TopHat(radius=float(raw["radius"]))
-    return KernelSpec(
-        strengths=np.asarray(raw["strengths"], dtype=float),
-        shape=shape,
-        extension=Extension(raw.get("extension", "periodic_wrap")),
-        quadrature_order=_integer(raw.get("quadrature_order", 4), "kernel.quadrature_order"),
-    )
+    shape, parameter = _SHAPES[name]
+    _reject_unknown(raw, _keys(KernelSpec) | {parameter}, "kernel.")
+    fields = {key: value for key, value in raw.items() if key != parameter}
+    return KernelSpec(**{**fields, "shape": shape(float(raw[parameter]))})
 
 
 def _parse_scheme(raw: dict) -> SchemeConfig:
-    _reject_unknown(raw, _SCHEME_KEYS, "scheme.")
-    t_end = float(raw["t_end"])
-    if "dt" in raw:
-        dt = float(raw["dt"])
-    elif "dt_divisor" in raw:
-        dt = t_end / _integer(raw["dt_divisor"], "scheme.dt_divisor")
-    else:
-        raise ConfigurationError("scheme needs dt or dt_divisor")
-    lin_raw = raw.get("linear_solver", {})
-    _reject_unknown(lin_raw, _LINEAR_KEYS, "scheme.linear_solver.")
-    linear = LinearSolverConfig(
-        rel_tol=float(lin_raw.get("rel_tol", 1e-12)),
-        max_iter=_integer(lin_raw.get("max_iter", 10000), "scheme.linear_solver.max_iter"),
-    )
-    return SchemeConfig(
-        kappa=float(raw["kappa"]),
-        dt=dt,
-        t_end=t_end,
-        weight=raw.get("weight", "bernoulli"),
-        coupling=raw.get("coupling", "implicit"),
-        picard_tol=float(raw.get("picard_tol", 1e-10)),
-        picard_max_iter=_integer(raw.get("picard_max_iter", 200), "scheme.picard_max_iter"),
-        linear=linear,
-    )
+    allowed = _keys(SchemeConfig) - {"linear"} | {"dt_divisor", "linear_solver"}
+    _reject_unknown(raw, allowed, "scheme.")
+    fields = dict(raw)
+    divisor = fields.pop("dt_divisor", None)
+    if "dt" not in fields:
+        if divisor is None:
+            raise ConfigurationError("scheme needs dt or dt_divisor")
+        fields["dt"] = float(raw["t_end"]) / _integer(divisor, "scheme.dt_divisor")
+    linear = fields.pop("linear_solver", {})
+    _reject_unknown(linear, _keys(LinearSolverConfig), "scheme.linear_solver.")
+    return SchemeConfig(**fields, linear=LinearSolverConfig(**linear))
+
+
+def _parse_datum(raw: dict, index: int):
+    prefix = f"initial[{index}]."
+    cls = DATUM_TYPES.get(dict(raw).get("type"))
+    if cls is not None:  # an unknown type is reported by parse_descriptor
+        _reject_unknown(raw, _keys(cls) | {"type"}, prefix)
+    try:
+        return parse_descriptor(raw)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{prefix}{exc}") from exc
 
 
 def coarsen(fine: np.ndarray, coarse_shape: tuple) -> np.ndarray:
@@ -367,7 +337,7 @@ def _build_problem(cfg: ExperimentConfig, cells=None, dt=None):
     if cells is not None:
         mesh_spec = MeshSpec(
             extents=cfg.mesh.extents,
-            cells_per_axis=tuple([int(cells)] * len(cfg.mesh.extents)),
+            cells_per_axis=(cells,) * cfg.mesh.dim,
         )
     mesh = build_mesh(mesh_spec)
     kernel = discretize(cfg.kernel, mesh)
@@ -459,12 +429,21 @@ def _write_error_table(path: str, table: ErrorTable, n_species: int) -> None:
             handle.write(",".join(cells) + "\n")
 
 
+def _strict_json(value):
+    """`value` with every non-finite float as None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_summary(out_dir: str | None, summary: dict, files: list) -> None:
     if out_dir is None:
         return
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
+        json.dump(_strict_json(summary), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     files.append(path)
 
@@ -509,7 +488,7 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
             state,
             kernel,
             observers=tuple(observers),
-            diagnostics_every=cfg.diagnostics_every,
+            diagnostics_every=cfg.report_every,
             psd_ok=psd_ok,
         )
     except StepFailure as exc:
@@ -523,17 +502,19 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
         if writer is not None:
             writer.close()
 
-    gated_failures = 0
-    rao_non_increasing = True
-    prev_h_rao = None
-    for report in run_summary.reports:
-        if report.verdicts is not None:
-            for verdict in report.verdicts.values():
-                if verdict.gated and not verdict.passed:
-                    gated_failures += 1
-            if prev_h_rao is not None and report.h_rao > prev_h_rao:
-                rao_non_increasing = False
-            prev_h_rao = report.h_rao
+    full_reports = [report for report in run_summary.reports if report.verdicts is not None]
+    gated_failures = sum(
+        1
+        for report in full_reports
+        for verdict in report.verdicts.values()
+        if verdict.gated and not verdict.passed
+    )
+    h_rao = [report.h_rao for report in full_reports]
+    # None (null) when fewer than two full reports leave nothing to compare.
+    rao_non_increasing = (
+        all(not later > earlier for earlier, later in zip(h_rao, h_rao[1:]))
+        if len(h_rao) > 1 else None
+    )
     modes = [dominant_mode(u) for u in run_summary.final_state.u]
     summary.update(
         {
@@ -562,7 +543,7 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
 def _solve_final_state(cfg: ExperimentConfig, cells=None, dt=None) -> RunSummary:
     """One ladder entry; its final state keeps only `u`, all the error table reads."""
     _, kernel, scheme_cfg, state = _build_problem(cfg, cells=cells, dt=dt)
-    summary = run(scheme_cfg, state, kernel, diagnostics_every=0)
+    summary = run(scheme_cfg, state, kernel, diagnostics_every=cfg.report_every)
     summary.final_state = dataclasses.replace(
         summary.final_state, p=None, u_prev=None, p_prev=None
     )

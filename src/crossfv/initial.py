@@ -12,13 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .mesh import Mesh
 
 
 @dataclass(frozen=True)
 class ConstantIC:
     value: float
+
+    def __post_init__(self):
+        _store_finite(self, "value")
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,9 @@ class BoxIC:
     amplitude: float = 1.0
     normalize_to: float | None = None
 
+    def __post_init__(self):
+        _store_finite(self, "lo", "hi", "amplitude", "normalize_to")
+
 
 @dataclass(frozen=True)
 class TrigIC:
@@ -39,54 +45,48 @@ class TrigIC:
     recipes use mode vectors like (1, -1) for waves along the diagonals.
     """
 
-    fn: str  # 'sin' | 'cos'
     modes: tuple
+    fn: str = "sin"  # 'sin' | 'cos'
     scale: float = 1.0
     offset: float = 0.0
     normalize_to: float | None = None
 
+    def __post_init__(self):
+        if self.fn not in ("sin", "cos"):
+            raise ConfigurationError(f"trig fn must be sin or cos, got {self.fn}")
+        object.__setattr__(self, "modes", tuple(_integer(k, "modes") for k in self.modes))
+        _store_finite(self, "scale", "offset", "normalize_to")
+
+
+def _store_finite(datum, *names: str) -> None:
+    """Store the named fields of a frozen datum as finite floats (box bounds: tuples of them).
+
+    NaN or inf would pass the positivity floor and fail inside the first step; a
+    target mass (`normalize_to`, None: keep the mass) of zero or less would floor
+    every cell to the smallest normal float.
+    """
+    for name in names:
+        value = getattr(datum, name)
+        if name == "normalize_to" and value is None:
+            continue
+        stored = tuple(map(float, value)) if name in ("lo", "hi") else float(value)
+        if not np.all(np.isfinite(stored)):
+            raise ConfigurationError(f"initial datum {name} must be finite, got {value}")
+        if name == "normalize_to" and stored <= 0:
+            raise ConfigurationError(f"initial datum normalize_to must be positive, got {value}")
+        object.__setattr__(datum, name, stored)
+
+
+DATUM_TYPES = {"constant": ConstantIC, "box": BoxIC, "trig": TrigIC}
+
 
 def parse_descriptor(raw: dict):
-    kind = raw.get("type")
-    if kind == "constant":
-        return ConstantIC(value=_finite(raw["value"], "value"))
-    if kind == "box":
-        return BoxIC(
-            lo=tuple(_finite(v, "lo") for v in raw["lo"]),
-            hi=tuple(_finite(v, "hi") for v in raw["hi"]),
-            amplitude=_finite(raw.get("amplitude", 1.0), "amplitude"),
-            normalize_to=_normalize_to(raw.get("normalize_to")),
-        )
-    if kind == "trig":
-        fn = raw.get("fn", "sin")
-        if fn not in ("sin", "cos"):
-            raise ConfigurationError(f"trig fn must be sin or cos, got {fn}")
-        return TrigIC(
-            fn=fn,
-            modes=tuple(int(k) for k in raw["modes"]),
-            scale=_finite(raw.get("scale", 1.0), "scale"),
-            offset=_finite(raw.get("offset", 0.0), "offset"),
-            normalize_to=_normalize_to(raw.get("normalize_to")),
-        )
-    raise ConfigurationError(f"unknown initial-datum type {kind!r}")
-
-
-def _finite(v, key: str) -> float:
-    """A datum parameter; NaN or inf would pass the positivity floor and fail mid-step."""
-    value = float(v)
-    if not np.isfinite(value):
-        raise ConfigurationError(f"initial datum {key} must be finite, got {value}")
-    return value
-
-
-def _normalize_to(v):
-    """A target mass; zero or negative would floor every cell to the smallest normal float."""
-    if v is None:
-        return None
-    value = _finite(v, "normalize_to")
-    if value <= 0:
-        raise ConfigurationError(f"initial datum normalize_to must be positive, got {value}")
-    return value
+    """The datum of a JSON object: its "type" picks the class, its other keys are the fields."""
+    fields = dict(raw)
+    kind = fields.pop("type", None)
+    if kind not in DATUM_TYPES:
+        raise ConfigurationError(f"unknown initial-datum type {kind!r}")
+    return DATUM_TYPES[kind](**fields)
 
 
 def project_initial(descriptor, mesh: Mesh) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, _integer
 from .mesh import Mesh
 
 
@@ -85,8 +85,9 @@ class KernelSpec:
         if not np.array_equal(self.strengths, self.strengths.T):
             raise ConfigurationError("strength matrix must be exactly symmetric")
         self.extension = Extension(self.extension)
-        if self.quadrature_order < 1:
-            raise ConfigurationError("quadrature order must be >= 1")
+        self.quadrature_order = _integer(
+            self.quadrature_order, "kernel.quadrature_order", minimum=1
+        )
         if not isinstance(self.shape, (Gaussian, TopHat)):
             raise ConfigurationError(f"kernel shape must be Gaussian or TopHat, got {self.shape!r}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 
 
 @dataclass(frozen=True)
@@ -24,18 +24,16 @@ class MeshSpec:
 
     def __post_init__(self):
         extents = tuple((float(a), float(b)) for a, b in self.extents)
-        cells = tuple(int(m) for m in self.cells_per_axis)
+        cells = tuple(_integer(m, "mesh.cells", minimum=2) for m in self.cells_per_axis)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells_per_axis", cells)
         if len(extents) < 1 or len(extents) != len(cells):
             raise ConfigurationError(
                 f"need one (extent, cell count) pair per axis, got {extents} and {cells}"
             )
-        for (a, b), m in zip(extents, cells):
+        for a, b in extents:
             if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
                 raise ConfigurationError(f"degenerate extent [{a}, {b})")
-            if m < 2:
-                raise ConfigurationError(f"at least 2 cells per axis required, got {m}")
 
     @property
     def dim(self) -> int:

@@ -28,7 +28,8 @@ import scipy.sparse as sp
 
 from . import linsolve
 from .errors import (
-    ConfigurationError, CrossFVError, NumericalStateError, SolverFailure, StepFailure, UsageError
+    ConfigurationError, CrossFVError, NumericalStateError, SolverFailure, StepFailure, UsageError,
+    _integer,
 )
 from .kernels import DiscreteKernel
 from .mesh import Mesh, axis_difference, roll
@@ -49,7 +50,9 @@ class LinearSolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not self.rel_tol > 0 or self.max_iter < 1:
+        self.rel_tol = float(self.rel_tol)
+        self.max_iter = _integer(self.max_iter, "scheme.linear_solver.max_iter", minimum=1)
+        if not self.rel_tol > 0:
             raise ConfigurationError("linear solver tolerances must be positive")
 
 
@@ -65,6 +68,9 @@ class SchemeConfig:
     linear: LinearSolverConfig = dc_field(default_factory=LinearSolverConfig)
 
     def __post_init__(self):
+        self.kappa, self.dt, self.t_end = float(self.kappa), float(self.dt), float(self.t_end)
+        self.picard_tol = float(self.picard_tol)
+        self.picard_max_iter = _integer(self.picard_max_iter, "scheme.picard_max_iter", minimum=1)
         self.weight = WeightKind(self.weight)
         self.coupling = Coupling(self.coupling)
         if not 0 < self.kappa < np.inf:
@@ -78,7 +84,7 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"time step {self.dt} does not divide end time {self.t_end}"
             )
-        if not self.picard_tol > 0 or self.picard_max_iter < 1:
+        if not self.picard_tol > 0:
             raise ConfigurationError("Picard tolerances must be positive")
 
     @property

@@ -1,9 +1,10 @@
 """Small configs drawn at random and run end to end through the command line.
 
-Every accepted input must run or fail cleanly: exit 0 (success), 2 (bad
-config) or 3 (step failure), never a traceback, with a `summary.json` after
-every run that started stepping; a config spoiled by a value the checks
-must reject exits 2. A successful run keeps the structure the scheme
+Every accepted input, run or refined by either ladder, must run or fail
+cleanly: exit 0 (success), 2 (bad config) or 3 (step failure), never a
+traceback, with a strict-JSON `summary.json` after every success and every
+run that started stepping; a config spoiled by a value the checks must
+reject exits 2. A successful run keeps the structure the scheme
 guarantees: positive densities, conserved masses and the Boltzmann entropy
 inequality, which holds unconditionally.
 """
@@ -74,10 +75,14 @@ def initial_datum(draw, extents):
 
 @st.composite
 def configs(draw):
+    command = draw(st.sampled_from(["run", "converge-space", "converge-time"]))
     dim = draw(st.integers(1, 2))
     length = draw(st.sampled_from([1.0, 2.0, 8.0]))
     extents = [[-length / 2, length / 2]] * dim
-    cells = draw(st.lists(st.integers(2, 16), min_size=dim, max_size=dim))
+    if command == "converge-space":
+        cells = [16] * dim
+    else:
+        cells = draw(st.lists(st.integers(2, 16), min_size=dim, max_size=dim))
     n = draw(st.integers(1, 3))
     upper = draw(st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n))
     strengths = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
@@ -90,6 +95,8 @@ def configs(draw):
         st.floats(0.05, 1.0)
     ) * length
     dt = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
+    # t_end = 0 runs the set-up only; a time ladder's reference takes 8 steps.
+    steps = draw(st.sampled_from([0, 8]) if command == "converge-time" else st.integers(0, 4))
     raw = {
         "name": "fuzz",
         "mesh": {"extents": extents, "cells": cells},
@@ -97,39 +104,51 @@ def configs(draw):
         "scheme": {
             "kappa": draw(st.floats(0.01, 1.0)),
             "dt": dt,
-            "t_end": dt * draw(st.integers(1, 4)),
+            "t_end": dt * steps,
             "weight": draw(st.sampled_from(["upwind", "bernoulli", "sigmoid", "geometric_mean"])),
             "coupling": draw(st.sampled_from(["implicit", "midpoint"])),
         },
         "initial": [draw(initial_datum(extents)) for _ in range(n)],
-        "diagnostics_every": draw(st.integers(0, 2)),
     }
+    if command == "converge-space":
+        raw["space_ladder"] = [2, 4, 8]
+    if command == "converge-time":
+        raw["dt_ladder_divisors"] = [1, 2, 4]
+    # Unset, it is 1 in run mode and 0 in the ladders, which take no other value.
+    every = draw(st.sampled_from([None, 0, 1, 2] if command == "run" else [None, 0]))
+    if every is not None:
+        raw["diagnostics_every"] = every
     spoiler = None
     if draw(st.sampled_from([False, False, False, True])):
         spoiler = draw(st.sampled_from(BAD_VALUES))
         spoiler(raw)
-    return raw, spoiler
+    return command, raw, spoiler
+
+
+def _not_json(token):
+    raise ValueError(f"summary.json holds {token}, which is not JSON")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=configs())
 def test_drawn_configs_run_or_fail_cleanly(case):
-    raw, spoiler = case
+    command, raw, spoiler = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli_main(["run", "--config", str(path), "--out", str(out)])
+            code = cli_main([command, "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if spoiler not in (None, BAD_VALUES[0]):
             assert code == 2, err.getvalue()
-        if code in (0, 3):
-            summary = json.loads((out / "summary.json").read_text())
+        if code == 0 or code == 3 and command == "run":
+            summary = json.loads((out / "summary.json").read_text(), parse_constant=_not_json)
         if code == 0:
             assert summary["min_density"] > 0
             assert summary["max_mass_drift"] <= 1e-10
+        if code == 0 and command == "run":
             report = (out / "report.csv").read_text()
             assert "boltzmann:FAIL" not in report

@@ -15,9 +15,14 @@ from crossfv import (
     ConfigurationError,
     ConstantIC,
     DiscreteKernel,
+    ExperimentConfig,
+    Gaussian,
+    KernelSpec,
+    LinearSolverConfig,
     MeshSpec,
     NumericalStateError,
     StepFailure,
+    SchemeConfig,
     TrigIC,
     UsageError,
     build_mesh,
@@ -465,6 +470,8 @@ def strengths(value):
         ({"snapshot_times": [1e308]}, [], "not a positive multiple"),
         ({"snapshot_times": [0.06]}, [], "after t_end"),
         ({"diagnostics_every": -1}, [], "diagnostics_every"),
+        ({**space_ladder([4, 8, 16], 32), "diagnostics_every": 1}, [], "diagnostics_every"),
+        ({**time_ladder([1, 2, 4], 8), "diagnostics_every": 2}, [], "diagnostics_every"),
         ({"threads": 0}, [], "threads"),
         ({}, ["--threads", "0"], "threads"),
         ({**space_ladder([4, 8, 16], 32), "snapshot_times": [0.05]}, [], "snapshot_times"),
@@ -520,6 +527,7 @@ def strengths(value):
     ],
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
+        "diag-converge-space", "diag-converge-time",
         "threads", "--threads", "snap-converge-space", "snap-converge-time",
         "ladder-short", "ladder-repeated", "ladder-decreasing", "dt-ladder-repeated",
         "ladder-at-reference", "dt-ladder-at-reference", "ladder-non-uniform-mesh",
@@ -543,6 +551,107 @@ def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, 
     assert cli_main([command, "--config", str(path), "--out", str(out)] + args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def experiment(**fields):
+    """An ExperimentConfig built in code: one species, 16 cells, 8 steps."""
+    return ExperimentConfig(
+        mesh=MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(16,)),
+        kernel=KernelSpec(strengths=[[0.1]], shape=Gaussian(eps=0.5)),
+        scheme=SchemeConfig(kappa=0.05, dt=0.01, t_end=0.08),
+        initial=[ConstantIC(value=1.0)],
+        **fields,
+    )
+
+
+# Each builds one config dataclass in code with `value` in one integer field,
+# whose valid value is the second entry; the third is the key its errors name.
+INTEGER_FIELDS = [
+    (lambda v: MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(v,)), 16, "mesh.cells"),
+    (
+        lambda v: KernelSpec(strengths=[[0.1]], shape=Gaussian(eps=0.5), quadrature_order=v),
+        4, "kernel.quadrature_order",
+    ),
+    (
+        lambda v: SchemeConfig(kappa=0.05, dt=0.01, t_end=0.05, picard_max_iter=v),
+        200, "scheme.picard_max_iter",
+    ),
+    (lambda v: LinearSolverConfig(max_iter=v), 100, "scheme.linear_solver.max_iter"),
+    (lambda v: TrigIC(modes=(v,)), 1, "modes"),
+    (lambda v: experiment(diagnostics_every=v), 1, "diagnostics_every"),
+    (lambda v: experiment(threads=v), 2, "threads"),
+    (lambda v: experiment(mode="converge_space", space_ladder=[2, 4, v]), 8, "space_ladder"),
+    (
+        lambda v: experiment(mode="converge_time", dt_ladder_divisors=[1, 2, v]),
+        4, "dt_ladder_divisors",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,valid,key", INTEGER_FIELDS, ids=[f[2] for f in INTEGER_FIELDS])
+def test_config_dataclasses_enforce_the_parser_rules(build, valid, key):
+    # The dataclasses, not the JSON parser, own the integer rule: code that
+    # builds them gets the same errors, naming the same key paths.
+    for bad in (2.5, True, valid + 0.7):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{key} must be an integer")):
+            build(bad)
+    for good in (valid, np.int64(valid), float(valid)):
+        build(good)
+
+
+def test_config_dataclasses_own_their_defaults_and_value_rules():
+    assert MeshSpec(extents=((0, 1),), cells_per_axis=(np.int64(16),)).cells_per_axis == (16,)
+    assert type(SchemeConfig(kappa=1, dt=1, t_end=2, picard_max_iter=5.0).picard_max_iter) is int
+    with pytest.raises(ConfigurationError, match="mesh.cells must be an integer"):
+        MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(16.7,))
+    with pytest.raises(ConfigurationError, match="initial datum amplitude must be finite"):
+        BoxIC(lo=(0.25,), hi=(0.5,), amplitude=float("nan"))
+    with pytest.raises(ConfigurationError, match="initial datum offset must be finite"):
+        TrigIC(modes=(1,), offset=float("inf"))
+    with pytest.raises(ConfigurationError, match="normalize_to must be positive"):
+        TrigIC(modes=(1,), offset=1.0, normalize_to=0.0)
+    trig = TrigIC(modes=[1], offset=1)
+    assert (trig.fn, trig.modes, trig.offset) == ("sin", (1,), 1.0)
+    assert BoxIC(lo=[0], hi=[1]).lo == (0.0,)
+    # diagnostics_every: unset means every step in run mode and none in the
+    # ladders; a nonzero value in a ladder is an error.
+    assert experiment().report_every == 1
+    assert experiment(diagnostics_every=0).report_every == 0
+    ladder = {"mode": "converge_time", "dt_ladder_divisors": [1, 2, 4]}
+    assert experiment(**ladder).report_every == 0
+    assert experiment(**ladder, diagnostics_every=0).report_every == 0
+    with pytest.raises(ConfigurationError, match="diagnostics_every is not used"):
+        experiment(**ladder, diagnostics_every=1)
+
+
+def strict_json(path):
+    """Parse a JSON file, rejecting NaN and Infinity, which are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_summary_json_writes_undefined_values_as_null(tmp_path):
+    # Set-up only: every ladder error of constant data is exactly 0, so no
+    # order can be fitted. The summary keeps NaN in memory and writes null.
+    out = tmp_path / "ladder"
+    path = tiny_config(
+        tmp_path, mode="converge_space", space_ladder=[2, 4, 8], **mesh_cells(16),
+        scheme={"kappa": 0.05, "dt": 0.01, "t_end": 0.0},
+        initial=[{"type": "constant", "value": 1.0}],
+    )
+    assert cli_main(["converge-space", "--config", str(path), "--out", str(out)]) == 0
+    assert strict_json(out / "summary.json")["orders_l1"] == [None]
+    result = run_experiment(parse_config(path))
+    assert np.isnan(result.summary["orders_l1"][0])
+    # The Rao flag is null when fewer than two full reports were compared.
+    for every, flag in ((0, None), (5, None), (1, True)):
+        out = tmp_path / f"run{every}"
+        path = tiny_config(tmp_path, diagnostics_every=every, out_dir=str(out))
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert strict_json(out / "summary.json")["h_rao_non_increasing"] is flag
 
 
 def test_snapshot_times_on_the_grid_are_written(tmp_path):
