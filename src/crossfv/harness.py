@@ -207,9 +207,9 @@ def _parse_scheme(raw: dict) -> SchemeConfig:
     _reject_unknown(raw, allowed, "scheme.")
     fields = dict(raw)
     divisor = fields.pop("dt_divisor", None)
-    if "dt" not in fields:
-        if divisor is None:
-            raise ConfigurationError("scheme needs dt or dt_divisor")
+    if ("dt" in fields) == (divisor is not None):
+        raise ConfigurationError("scheme needs exactly one of 'dt' and 'dt_divisor'")
+    if divisor is not None:
         fields["dt"] = float(raw["t_end"]) / _integer(divisor, "scheme.dt_divisor")
     linear = fields.pop("linear_solver", {})
     _reject_unknown(linear, _keys(LinearSolverConfig), "scheme.linear_solver.")
@@ -457,6 +457,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return _converge(cfg)
 
 
+def _write_failure(out_dir: str | None, summary: dict, exc: StepFailure, files: list) -> None:
+    """`summary` and the failed step's index, message and both histories, as summary.json."""
+    summary.update(
+        failed_step=exc.step_index, failure=str(exc), failure_picard_errors=exc.error_history,
+        failure_linear_residuals=exc.residual_history,
+    )
+    _write_summary(out_dir, summary, files)
+
+
 def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
     mesh, kernel, scheme_cfg, state = _build_problem(cfg)
     psd_summary, psd_ok, cstar_summary = _kernel_reports(cfg, mesh, kernel, state.u)
@@ -492,11 +501,7 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
             psd_ok=psd_ok,
         )
     except StepFailure as exc:
-        summary["failed_step"] = exc.step_index
-        summary["failure"] = str(exc)
-        summary["failure_picard_errors"] = exc.error_history
-        summary["failure_linear_residuals"] = exc.residual_history
-        _write_summary(cfg.out_dir, summary, files)
+        _write_failure(cfg.out_dir, summary, exc, files)
         raise
     finally:
         if writer is not None:
@@ -541,9 +546,16 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _solve_final_state(cfg: ExperimentConfig, cells=None, dt=None) -> RunSummary:
-    """One ladder entry; its final state keeps only `u`, all the error table reads."""
-    _, kernel, scheme_cfg, state = _build_problem(cfg, cells=cells, dt=dt)
-    summary = run(scheme_cfg, state, kernel, diagnostics_every=cfg.report_every)
+    """One ladder entry; its final state keeps only `u`, all the error table reads.
+
+    A StepFailure leaves with the entry's `cells` and `dt` as its `entry`.
+    """
+    mesh, kernel, scheme_cfg, state = _build_problem(cfg, cells=cells, dt=dt)
+    try:
+        summary = run(scheme_cfg, state, kernel, diagnostics_every=cfg.report_every)
+    except StepFailure as exc:
+        exc.entry = {"cells": list(mesh.shape), "dt": scheme_cfg.dt}
+        raise
     summary.final_state = dataclasses.replace(
         summary.final_state, p=None, u_prev=None, p_prev=None
     )
@@ -572,7 +584,9 @@ def _converge(cfg: ExperimentConfig) -> ExperimentResult:
     Space coarsens the mesh at the configured dt, time coarsens dt on the
     configured mesh. The last solve, the reference, is the configured
     problem itself (`mesh.cells`, `scheme.dt`); it is averaged onto each
-    coarse mesh, which in time is its own.
+    coarse mesh, which in time is its own. When an entry fails, the first
+    in ladder order, its cells, dt, failed step and histories go to
+    `summary.json` before the StepFailure propagates.
     """
     if cfg.mode == "converge_space":
         kind = "space"
@@ -584,7 +598,11 @@ def _converge(cfg: ExperimentConfig) -> ExperimentResult:
         ladder = cfg.dt_ladder_divisors
         scale = cfg.scheme.t_end
         jobs = [{"dt": scale / div} for div in ladder]
-    summaries = _run_ladder(cfg, jobs + [{}])
+    try:
+        summaries = _run_ladder(cfg, jobs + [{}])
+    except StepFailure as exc:
+        _write_failure(cfg.out_dir, {"name": cfg.name, "mode": cfg.mode, **exc.entry}, exc, [])
+        raise
     ref_u = summaries[-1].final_state.u
     n = cfg.kernel.n_species
     rows_linf = np.zeros((len(ladder), n))

@@ -1,12 +1,12 @@
 """Solvers for the per-species transport systems.
 
-The assembled matrices are M-matrices that are strictly diagonally dominant
-by columns. On the 1D torus they are periodic tridiagonal and
-`cyclic_tridiagonal` solves every species' system in one direct call, in
-numpy only; for dim >= 2 Jacobi-scaled BiCGStab is the solver, one system
-at a time, and converges quickly. When round-off
-drives a result below zero, `jacobi_positive_polish` repairs it: Jacobi
-sweeps from a clipped start are guaranteed to converge and keep every
+The assembled systems are M-matrices, strictly diagonally dominant by
+columns. On the 1D torus they are periodic tridiagonal and
+`cyclic_tridiagonal` solves every species' system in one direct call from
+the stencil slots, in numpy only; for dim >= 2 Jacobi-scaled BiCGStab is
+the solver, one system at a time, on a matrix and its diagonal slot. When
+round-off drives a result below zero, `jacobi_positive_polish` repairs it
+on any matvec: Jacobi sweeps from a clipped start converge and keep every
 iterate nonnegative. All stopping tests use the max norm of the true
 residual, which is what the mass-conservation and positivity contracts are
 stated in.
@@ -110,10 +110,12 @@ def cyclic_tridiagonal(
     return np.concatenate((x0, y + x0 * w), axis=-1) / scale
 
 
-def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_iter: int):
+def bicgstab(matrix, diag, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_iter: int):
     """Jacobi-scaled BiCGStab; stops when ||rhs - A x||_inf <= atol.
 
-    Returns (solution, residual_history). Raises SolverFailure when the
+    `matrix` is A, read only through `matrix @ x`; `diag` is its diagonal,
+    which the caller holds already (slot 0 of a stencil). Returns
+    (solution, residual_history). Raises SolverFailure when the
     iteration budget runs out or the recurrence breaks down irrecoverably.
     Where max |rhs| lies outside [2^-256, 2^256], the inner products can
     underflow or overflow (densities of order 1e-159 stall it), so the
@@ -133,7 +135,6 @@ def bicgstab(matrix, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_it
             return x, history
         return x / scale, [h / scale for h in history]
 
-    diag = np.asarray(matrix.diagonal())
     inv_d = 1.0 / diag
     # Row-scaled system: (D^-1 A) x = D^-1 b. The recursive residual of the
     # scaled system maps back exactly via multiplication by D.

@@ -8,12 +8,14 @@ linear tolerance) and iterates the potential to a fixed point. A Picard
 sweep is one `assemble` and one `solve_linear` call on the whole species
 stack: on the 1D torus the periodic tridiagonal systems are solved
 directly from the stencil in one batched reduction; for dim >= 2
-BiCGStab runs on each species' CSR matrix, whose values are the stencil.
-Each species keeps its own tolerance, correction step and positivity
-polish. Each accepted state carries its own potential p = W*u, computed
-once and read by the next step and by the diagnostics, after a full
-report its Boltzmann entropy H_B, and the previous level's u and p, from
-which the next step's Picard iteration starts at the extrapolated state
+BiCGStab runs on each species' CSR matrix, built from its stencil as the
+solver's operand and nowhere else. `apply_stencil` is the one matvec of
+the residual checks and the positivity polish in every dimension. Each
+species keeps its own tolerance, correction step and positivity polish.
+Each accepted state carries its own potential p = W*u, computed once and
+read by the next step and by the diagnostics, after a full report its
+Boltzmann entropy H_B, and the previous level's u and p, from which the
+next step's Picard iteration starts at the extrapolated state
 2u^n - u^(n-1).
 """
 
@@ -118,41 +120,17 @@ class State:
 class LinearSystem:
     """A x = rhs, with A held as its stencil on the mesh; a stack of them when batched.
 
-    `stencil` has shape (..., *mesh.shape, 2 dim + 1): per cell, the
-    diagonal, then the +e and -e off-diagonals of each axis, so row K reads
-    slot 0 at K times x[K] plus, for each axis a, slot 2a+1 times x[K+e_a]
-    and slot 2a+2 times x[K-e_a]. That is the order of a CSR row on the
-    stencil pattern, so a single system's stencil is its CSR values as
-    they stand. `rhs` has shape (..., n_cells); the leading axes, if any,
-    index the systems of a stack, and `system[i]` is the system at index i.
+    `stencil` has shape (..., *mesh.shape, 2 dim + 1): per cell, contiguous,
+    the diagonal, then the +e and -e off-diagonals of each axis, so row K
+    reads slot 0 times x[K] plus, for each axis a, slot 2a+1 times x[K+e_a]
+    and slot 2a+2 times x[K-e_a] (`apply_stencil`): a single system's
+    stencil is its CSR values on `_csr_pattern` as they stand. `rhs` has
+    shape (..., n_cells); the leading axes, if any, index a stack.
     """
 
     stencil: np.ndarray
     rhs: np.ndarray
     mesh: Mesh
-
-    @functools.cached_property
-    def slots(self) -> tuple:
-        """Slot k of every cell, shaped (..., *mesh.shape), as views of the stencil."""
-        return tuple(self.stencil.transpose(-1, *range(self.stencil.ndim - 1)))
-
-    def __getitem__(self, index) -> LinearSystem:
-        return LinearSystem(self.stencil[index], self.rhs[index], self.mesh)
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """A of a single system as a CSR matrix on the cached pattern, built on first access.
-
-        Its values are the stencil itself, not a copy, where each cell's
-        row is contiguous (as `assemble` lays it out in dim >= 2). Columns
-        are unsorted. On an axis of 2 cells K+e and K-e are the same cell,
-        so a row holds that column twice; CSR products, `diagonal()`,
-        `toarray()` and `sum()` all add duplicate entries, so the matrix is
-        still the right one.
-        """
-        indices, indptr = _csr_pattern(self.mesh)
-        n = self.mesh.n_cells
-        return sp.csr_matrix((self.stencil.ravel(), indices, indptr), shape=(n, n))
 
 
 @dataclass
@@ -164,24 +142,20 @@ class SolveInfo:
 
 @functools.lru_cache(maxsize=32)
 def _csr_pattern(mesh: Mesh) -> tuple:
-    """Column indices and row pointers of the (2d+1)-point periodic stencil.
+    """Column indices and row pointers of BiCGStab's CSR operand on the stencil.
 
-    Row K lists K, then K+e and K-e for each axis, in the slot order of
-    `assemble`; columns are left unsorted. Both arrays are int32 so the
-    CSR constructor takes them without a copy, and read-only because every
-    assembled matrix shares them: scipy's in-place `sort_indices` and
-    `sum_duplicates` (called by `tolil` and `spsolve`) raise on them
-    instead of reordering the cached pattern. Copy the matrix first.
+    Row K lists K, then K+e and K-e for each axis, in slot order, unsorted;
+    on a 2-cell axis it holds that column twice, and CSR products add both.
+    int32, so the CSR constructor takes them without a copy, and read-only,
+    because every matrix shares them: scipy's in-place `sort_indices` and
+    `sum_duplicates` raise on them instead of reordering the cached pattern.
     """
     idx = np.arange(mesh.n_cells, dtype=np.int32).reshape(mesh.shape)
-    cols = [idx]
-    for axis in range(mesh.dim):
-        cols += [np.roll(idx, -1, axis=axis), np.roll(idx, 1, axis=axis)]
-    width = 2 * mesh.dim + 1
+    cols = [idx] + [np.roll(idx, s, axis=a) for a in range(mesh.dim) for s in (-1, 1)]
     indices = np.stack(cols, axis=-1).ravel()
-    indptr = np.arange(0, width * mesh.n_cells + 1, width, dtype=np.int32)
-    indices.setflags(write=False)
-    indptr.setflags(write=False)
+    indptr = np.arange(0, indices.size + 1, len(cols), dtype=np.int32)
+    for array in (indices, indptr):
+        array.setflags(write=False)
     return indices, indptr
 
 
@@ -194,8 +168,7 @@ def assemble(u_prev: np.ndarray, p: np.ndarray, cfg: SchemeConfig, mesh: Mesh) -
     axis for the whole stack. A has positive diagonal, nonpositive
     off-diagonal entries and exact column sums m(K)/dt, which is what makes
     the solve mass-conservative and inverse-positive. The stencil is the
-    only copy of the flux in the package; where BiCGStab needs a CSR matrix
-    (dim >= 2) it holds the matrix values as they stand.
+    only copy of the flux in the package.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -211,14 +184,8 @@ def assemble(u_prev: np.ndarray, p: np.ndarray, cfg: SchemeConfig, mesh: Mesh) -
         raise NumericalStateError("potential must be finite")
 
     m_over_dt = mesh.cell_measure / cfg.dt
-    # Each slot is contiguous in 1D, where the direct solve reads slots; in
-    # dim >= 2 each cell's row is, where the stencil is the CSR values.
-    width = 2 * mesh.dim + 1
-    if mesh.dim == 1:
-        stencil = np.empty((width,) + u_prev.shape).transpose(*range(1, u_prev.ndim + 1), 0)
-    else:
-        stencil = np.empty(u_prev.shape + (width,))
-    diag, *off = stencil.transpose(-1, *range(u_prev.ndim))
+    stencil = np.empty(u_prev.shape + (2 * mesh.dim + 1,))
+    diag = stencil[..., 0]
     diag[...] = m_over_dt
     for a in range(mesh.dim):
         axis = len(lead) + a  # mesh axis a of the stacked fields
@@ -227,20 +194,28 @@ def assemble(u_prev: np.ndarray, p: np.ndarray, cfg: SchemeConfig, mesh: Mesh) -
         g_plus = mesh.tau(a) * (bk + np.maximum(dp, 0.0))
         g_minus = mesh.tau(a) * (bk + np.maximum(-dp, 0.0))
         diag += g_minus + roll(g_plus, 1, axis)
-        np.negative(g_plus, out=off[2 * a])
-        np.negative(roll(g_minus, 1, axis), out=off[2 * a + 1])
+        np.negative(g_plus, out=stencil[..., 2 * a + 1])
+        np.negative(roll(g_minus, 1, axis), out=stencil[..., 2 * a + 2])
     return LinearSystem(stencil=stencil, rhs=m_over_dt * flat, mesh=mesh)
 
 
-def _stencil_apply(slots: tuple, x: np.ndarray) -> np.ndarray:
-    """A x for the three-term periodic stencil of 1D systems, over any leading axes."""
-    diag, upper, lower = slots
-    y = diag * x
-    y[..., :-1] += upper[..., :-1] * x[..., 1:]
-    y[..., -1] += upper[..., -1] * x[..., 0]
-    y[..., 1:] += lower[..., 1:] * x[..., :-1]
-    y[..., 0] += lower[..., 0] * x[..., -1]
-    return y
+def apply_stencil(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for every system of a stencil stack, on a mesh of any dimension.
+
+    `x` holds one value per cell of each system, shaped like the stencil
+    without its slot axis or flattened to (..., n_cells); A x comes back in
+    the shape of `x`. The slots are added in CSR row order (diagonal, then
+    +e and -e per axis), so the product is bitwise that of the CSR matrix
+    on `_csr_pattern`.
+    """
+    dim = (stencil.shape[-1] - 1) // 2
+    cells = x.reshape(stencil.shape[:-1])
+    y = stencil[..., 0] * cells
+    for a in range(dim):
+        axis = cells.ndim - dim + a
+        y += stencil[..., 2 * a + 1] * roll(cells, -1, axis)
+        y += stencil[..., 2 * a + 2] * roll(cells, 1, axis)
+    return y.reshape(x.shape)
 
 
 def _solve_direct(system: LinearSystem, target: np.ndarray) -> tuple:
@@ -251,16 +226,16 @@ def _solve_direct(system: LinearSystem, target: np.ndarray) -> tuple:
     Returns (solution, residual, corrections), the last two per system;
     raises SolverFailure when a corrected residual still misses its target.
     """
-    diag, upper, lower = system.slots
+    diag, upper, lower = (system.stencil[..., k] for k in range(3))
     x = linsolve.cyclic_tridiagonal(diag, upper, lower, system.rhs)
-    res = system.rhs - _stencil_apply(system.slots, x)
+    res = system.rhs - apply_stencil(system.stencil, x)
     first = np.abs(res).max(axis=-1)
     missed = first > target
     if not missed.any():
         return x, first, missed
     pick = np.nonzero(missed) if missed.ndim else ()
     x[pick] += linsolve.cyclic_tridiagonal(diag[pick], upper[pick], lower[pick], res[pick])
-    residual = np.abs(system.rhs - _stencil_apply(system.slots, x)).max(axis=-1)
+    residual = np.abs(system.rhs - apply_stencil(system.stencil, x)).max(axis=-1)
     failed = residual > target
     if failed.any():
         worst = np.unravel_index(np.argmax(failed), np.shape(failed))
@@ -279,17 +254,19 @@ def solve_linear(
     """Solve each stacked A_i u_i = S_i to ||residual||_inf <= rel_tol * ||S_i||_inf, positively.
 
     In 1D every periodic tridiagonal system of the stack is solved by one
-    direct call and no matrix is built (`x0` is unused); each system whose
+    direct call from the stencil (`x0` is unused); each system whose
     residual misses its own target takes one correction step with the same
-    solve. For dim >= 2 Jacobi-scaled BiCGStab runs on each system's CSR
-    matrix in turn, from `x0` (shaped like `rhs`). The exact solution is
-    strictly positive (inverse-positive M-matrix); entries driven negative
-    or to zero by roundoff within 1e-15 * max(u_i) are clamped to the
-    smallest positive normal float and counted. Larger undershoots trigger
-    a positivity-preserving Jacobi polish of that system alone, whose
-    iterates are nonnegative by construction. Returns the solutions, shaped
-    (..., *mesh.shape), and one SolveInfo for the stack: the largest final
-    residual, and iterations and clamps summed over the systems.
+    solve. For dim >= 2 Jacobi-scaled BiCGStab runs on each system in turn,
+    from `x0` (shaped like `rhs`), with the system's CSR matrix on the
+    cached pattern as its operand: the one place a matrix is built. The
+    exact solution is strictly positive (inverse-positive M-matrix); entries
+    driven negative or to zero by roundoff within 1e-15 * max(u_i) are
+    clamped to the smallest positive normal float and counted. Larger
+    undershoots trigger a positivity-preserving Jacobi polish of that system
+    alone, on `apply_stencil`, whose iterates are nonnegative by
+    construction. Returns the solutions, shaped (..., *mesh.shape), and one
+    SolveInfo for the stack: the largest final residual, and iterations and
+    clamps summed over the systems.
     """
     lead = system.rhs.shape[:-1]
     target = cfg.linear.rel_tol * np.maximum(np.abs(system.rhs).max(axis=-1), _TINY)
@@ -297,26 +274,27 @@ def solve_linear(
         x, residual, corrected = _solve_direct(system, target)
         residual, iterations = np.array(residual), np.array(corrected, dtype=int)
     else:
+        indices, indptr = _csr_pattern(system.mesh)
+        n = system.mesh.n_cells
         x = np.empty_like(system.rhs)
         residual, iterations = np.empty(lead), np.empty(lead, dtype=int)
         for i in np.ndindex(lead):
-            part = system[i]
+            stencil = system.stencil[i]
+            matrix = sp.csr_matrix((stencil.ravel(), indices, indptr), shape=(n, n))
             start = None if x0 is None else x0[i]
             x[i], history = linsolve.bicgstab(
-                part.matrix, part.rhs, start, target[i], cfg.linear.max_iter
+                matrix, stencil[..., 0].ravel(), system.rhs[i], start, target[i],
+                cfg.linear.max_iter,
             )
             residual[i], iterations[i] = history[-1], len(history) - 1
     floor = -1e-15 * np.maximum(x.max(axis=-1), _TINY)
     undershot = x.min(axis=-1) < floor
     if undershot.any():
         for i in zip(*np.nonzero(undershot)) if lead else [()]:
-            part = system[i]
-            if system.mesh.dim == 1:
-                apply = functools.partial(_stencil_apply, part.slots)
-            else:
-                apply = part.matrix.__matmul__
+            stencil = system.stencil[i]
             x[i], history = linsolve.jacobi_positive_polish(
-                apply, part.slots[0].ravel(), part.rhs, x[i], target[i]
+                functools.partial(apply_stencil, stencil), stencil[..., 0].ravel(),
+                system.rhs[i], x[i], target[i],
             )
             residual[i] = history[-1]
             iterations[i] += len(history)
@@ -464,9 +442,9 @@ def run(
                 error_history=getattr(exc, "error_history", None),
                 residual_history=getattr(exc, "residual_history", None),
             ) from exc
-        drift = float(np.max(np.abs(state.masses() - masses0) / mass_scale))
+        drift = float(np.max(np.abs(report.masses - masses0) / mass_scale))
         max_drift = max(max_drift, drift)
-        min_density = min(min_density, float(state.u.min()))
+        min_density = min(min_density, report.min_density)
         reports.append(report)
         for obs in observers:
             obs(state, report)

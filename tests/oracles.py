@@ -16,12 +16,15 @@ so the flux can be checked against its two-sided Scharfetter-Gummel form.
 ``edges``, ``neighbor`` and ``edge_cells`` walk the mesh edge by
 edge, an edge being a plain ``(owner cell, positive 1-based axis)`` tuple.
 ``edge_flux``, ``axis_fluxes``, ``flux_divergence`` and ``scheme_residual``
-evaluate the scheme's flux outside the matrix that ``assemble`` builds, and
-``assembled_fluxes`` reads it back off that matrix.
+evaluate the scheme's flux outside the stencil that ``assemble`` builds.
+``system_matrix`` turns one system of that stencil into a CSR matrix by
+walking the mesh cell by cell, and ``assembled_fluxes`` reads the flux back
+off that matrix.
 
 Solves: ``bicgstab_polished`` runs BiCGStab and the positivity polish of
 ``solve_linear``'s dim >= 2 path on any matrix, so that the iterative path
-stays covered on 1D meshes, whose systems ``solve_linear`` solves directly.
+stays covered on 1D meshes, whose systems ``solve_linear`` solves directly;
+``csr_polish`` is that polish with the CSR matvec.
 
 Entropies: ``entropy_rao``, ``fisher_information`` and ``verify_step``
 compute from scratch what ``build_report`` reads off the carried
@@ -29,6 +32,7 @@ compute from scratch what ``build_report`` reads off the carried
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from crossfv import Extension, UsageError, entropy_boltzmann, linsolve, productions
 from crossfv.diagnostics import _rao, _verdicts
@@ -304,6 +308,31 @@ def scheme_residual(mesh, u_prev, u_curr, p, cfg) -> np.ndarray:
     return res
 
 
+def system_matrix(system, index=()) -> sp.csr_matrix:
+    """The system at `index` of a stack as a CSR matrix, read off its stencil cell by cell.
+
+    Row K lists K, then K+e and K-e for each axis, with the stencil slot of
+    each, in slot order; the neighbors are found by walking the mesh
+    (``neighbor``). On a 2-cell axis K+e and K-e are one cell, so the row
+    holds that column twice; CSR products, ``toarray`` and ``sum`` add the
+    two entries.
+    """
+    mesh = system.mesh
+    stencil = system.stencil[index]
+    data, cols = [], []
+    for cell in np.ndindex(mesh.shape):
+        neighbors = [cell]
+        for axis in range(1, mesh.dim + 1):
+            neighbors += [neighbor(mesh, cell, axis), neighbor(mesh, cell, -axis)]
+        for slot, col in enumerate(neighbors):
+            data.append(stencil[cell + (slot,)])
+            cols.append(np.ravel_multi_index(col, mesh.shape))
+    width = 2 * mesh.dim + 1
+    indptr = np.arange(0, width * mesh.n_cells + 1, width)
+    n = mesh.n_cells
+    return sp.csr_matrix((np.array(data), np.array(cols), indptr), shape=(n, n))
+
+
 def assembled_fluxes(system, u) -> list:
     """Owner-side fluxes read off A: F_{K,K+e} = A[K,K+e] u_{K+e} - A[K+e,K] u_K.
 
@@ -311,7 +340,7 @@ def assembled_fluxes(system, u) -> list:
     entries of a row fall on one column.
     """
     mesh = system.mesh
-    a = system.matrix.toarray()
+    a = system_matrix(system).toarray()
     idx = np.arange(mesh.n_cells).reshape(mesh.shape)
     out = []
     for axis in range(mesh.dim):
@@ -327,7 +356,12 @@ def bicgstab_polished(matrix, rhs, cfg):
     when BiCGStab's iterate is nonnegative and meets the target.
     """
     target = cfg.linear.rel_tol * max(float(np.abs(rhs).max()), float(np.finfo(float).tiny))
-    x, _ = linsolve.bicgstab(matrix, rhs, None, target, cfg.linear.max_iter)
+    x, _ = linsolve.bicgstab(matrix, matrix.diagonal(), rhs, None, target, cfg.linear.max_iter)
+    return csr_polish(matrix, rhs, x, target)
+
+
+def csr_polish(matrix, rhs, x, target):
+    """The positivity polish of ``solve_linear`` from `x`, with the CSR matvec."""
     return linsolve.jacobi_positive_polish(matrix.__matmul__, matrix.diagonal(), rhs, x, target)
 
 

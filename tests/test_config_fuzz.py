@@ -2,8 +2,8 @@
 
 Every accepted input, run or refined by either ladder, must run or fail
 cleanly: exit 0 (success), 2 (bad config) or 3 (step failure), never a
-traceback, with a strict-JSON `summary.json` after every success and every
-run that started stepping; a config spoiled by a value the checks must
+traceback, with a strict-JSON `summary.json` after every success and after
+every step failure, which names the failed step; a config spoiled by a value the checks must
 reject exits 2. A successful run keeps the structure the scheme
 guarantees: positive densities, conserved masses and the Boltzmann entropy
 inequality, which holds unconditionally.
@@ -144,8 +144,10 @@ def test_drawn_configs_run_or_fail_cleanly(case):
         assert "Traceback" not in err.getvalue()
         if spoiler not in (None, BAD_VALUES[0]):
             assert code == 2, err.getvalue()
-        if code == 0 or code == 3 and command == "run":
+        if code in (0, 3):
             summary = json.loads((out / "summary.json").read_text(), parse_constant=_not_json)
+        if code == 3:
+            assert summary["failed_step"] >= 1, err.getvalue()
         if code == 0:
             assert summary["min_density"] > 0
             assert summary["max_mass_drift"] <= 1e-10

@@ -524,6 +524,8 @@ def strengths(value):
          [], "normalize_to must be positive"),
         ({"initial": [{"type": "box", "lo": [0.25], "hi": [0.5], "normalize_to": 0.0}]},
          [], "normalize_to must be positive"),
+        # A dt next to a divisor would run with dt and ignore the divisor.
+        (dt_divisor(5, dt=0.01), [], "'dt' and 'dt_divisor'"),
     ],
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
@@ -537,7 +539,7 @@ def strengths(value):
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
         "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
         "nan-picard-tol", "nan-rel-tol", "nan-constant", "nan-amplitude", "nan-offset",
-        "negative-normalize-to", "zero-normalize-to",
+        "negative-normalize-to", "zero-normalize-to", "dt-and-dt-divisor",
     ],
 )
 def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, args, message):
@@ -751,6 +753,36 @@ def test_cli_step_failure_exit_code(tmp_path, capsys):
     assert len(summary["failure_picard_errors"]) == 2
     assert summary["failure_picard_errors"][-1] > 1e-10
     assert summary["failure_linear_residuals"] == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "ladder,entry",
+    [
+        ({**space_ladder([4, 8, 16], 32), "scheme": {"kappa": 0.05, "dt": 0.01, "t_end": 0.05}},
+         {"cells": [4], "dt": 0.01}),
+        (time_ladder([1, 2, 4], 8), {"cells": [16], "dt": 0.05}),
+    ],
+    ids=["space", "time"],
+)
+def test_failed_ladder_entry_writes_its_summary(tmp_path, ladder, entry, threads):
+    # A one-sweep Picard budget fails every entry at step 1; the first entry
+    # in ladder order is reported, with the fields of a failed run.
+    ladder = {**ladder, "scheme": {**ladder["scheme"], "picard_max_iter": 1}}
+    path = tiny_config(tmp_path, **ladder)
+    out = tmp_path / "out"
+    command = ladder["mode"].replace("_", "-")
+    args = [command, "--config", str(path), "--out", str(out), "--threads", str(threads)]
+    assert cli_main(args) == 3
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary.pop("cells") == entry["cells"]
+    assert summary.pop("dt") == pytest.approx(entry["dt"], rel=1e-15)
+    assert summary.pop("failed_step") == 1
+    assert len(summary.pop("failure_picard_errors")) == 1
+    assert summary.pop("failure_linear_residuals") == []
+    assert summary.pop("failure").startswith("step 1/")
+    assert summary == {"name": "tiny", "mode": ladder["mode"]}
 
 
 def test_numerical_error_in_a_step_reports_failed_step(tmp_path, capsys, monkeypatch):

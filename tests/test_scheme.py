@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from oracles import (
     axis_fluxes,
     bernoulli_signed,
     bicgstab_polished,
+    csr_polish,
     edge_flux,
     flux_divergence,
     scheme_residual,
+    system_matrix,
 )
 
 from crossfv import (
@@ -59,6 +62,11 @@ def zero_kernel(mesh, n=1):
     return discretize(
         KernelSpec(strengths=np.zeros((n, n)), shape=Gaussian(eps=1.0)), mesh
     )
+
+
+def no_matrix_built():
+    """A context in which building a CSR matrix fails the test."""
+    return mock.patch.object(sp, "csr_matrix", side_effect=AssertionError("CSR matrix built"))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +170,7 @@ def test_constant_potential_gives_diffusion_matrix():
     expected = (
         mesh.cell_measure / cfg.dt * sp.eye(8) + cfg.kappa * tau * lap.tocsr()
     )
-    assert np.allclose(system.matrix.toarray(), expected.toarray(), rtol=1e-14)
+    assert np.allclose(system_matrix(system).toarray(), expected.toarray(), rtol=1e-14)
     sol, _ = solve_linear(system, cfg)
     assert np.allclose(sol, 2.0, rtol=1e-12)
 
@@ -174,7 +182,7 @@ def test_two_cell_system_matches_hand_computation():
     delta = 0.3
     p = np.array([0.0, delta])
     system = assemble(u_prev, p, cfg, mesh)
-    a = system.matrix.toarray()
+    a = system_matrix(system).toarray()
     tau = mesh.tau(0)
     m_dt = mesh.cell_measure / cfg.dt
     from crossfv.weights import eval_B_kappa
@@ -195,7 +203,7 @@ def test_column_sums_equal_mass_rate(dims, cells):
     u_prev = RNG.random(mesh.shape) + 0.1
     p = RNG.normal(size=mesh.shape)
     system = assemble(u_prev, p, cfg, mesh)
-    colsums = np.asarray(system.matrix.sum(axis=0)).ravel()
+    colsums = np.asarray(system_matrix(system).sum(axis=0)).ravel()
     expected = mesh.cell_measure / cfg.dt
     assert np.max(np.abs(colsums - expected)) <= 1e-13 * expected
 
@@ -209,7 +217,8 @@ def test_matrix_applies_flux_divergence(cells):
     u = RNG.random(mesh.shape) + 0.1
     p = RNG.normal(size=mesh.shape)
     system = assemble(u, p, cfg, mesh)
-    product = (system.matrix @ u.ravel()).reshape(mesh.shape)
+    matrix = system_matrix(system)
+    product = (matrix @ u.ravel()).reshape(mesh.shape)
     expected = flux_divergence(mesh, axis_fluxes(mesh, u, p, cfg))
     gap = product - mesh.cell_measure / cfg.dt * u - expected
     # Relative to the product: subtracting (m/dt) u cancels its leading digits.
@@ -218,14 +227,41 @@ def test_matrix_applies_flux_divergence(cells):
         # Axis by axis, the readout of the flux criteria is the flux itself.
         for read, flux in zip(assembled_fluxes(system, u), axis_fluxes(mesh, u, p, cfg)):
             assert np.max(np.abs(read - flux)) <= 1e-14 * np.max(np.abs(flux))
-    # Every system shares one read-only stencil pattern.
-    assert not system.matrix.indices.flags.writeable
-    assert not system.matrix.indptr.flags.writeable
+    # Every BiCGStab operand shares one read-only stencil pattern.
+    assert not any(array.flags.writeable for array in scheme._csr_pattern(mesh))
     if mesh.dim == 1:
         # The direct 1D solve reads the same slots: it inverts this matrix.
         sol, _ = solve_linear(system, cfg)
-        residual = system.rhs - system.matrix @ sol
+        residual = system.rhs - matrix @ sol
         assert np.max(np.abs(residual)) <= cfg.linear.rel_tol * np.max(system.rhs)
+
+
+@pytest.mark.parametrize("cells", [(16,), (2,), (8, 8), (2, 5), (5, 2), (3, 4)])
+def test_stencil_operator_is_the_oracle_matrix_product(cells):
+    # Bitwise, on one system and on a 2-species stack, for mesh-shaped and
+    # flat fields: the slots are added in CSR row order. The BiCGStab operand
+    # on the cached pattern is the same matrix, bitwise.
+    mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),) * len(cells), cells_per_axis=cells))
+    cfg = base_cfg(dt=0.02)
+    u = RNG.random((2,) + mesh.shape) + 0.1
+    p = RNG.normal(size=(2,) + mesh.shape)
+    x = RNG.random((2,) + mesh.shape)
+    n = mesh.n_cells
+    stack = assemble(u, p, cfg, mesh)
+    product = scheme.apply_stencil(stack.stencil, x)
+    flat = scheme.apply_stencil(stack.stencil, x.reshape(2, n))
+    assert product.shape == x.shape and flat.shape == (2, n)
+    indices, indptr = scheme._csr_pattern(mesh)
+    for i in range(2):
+        expected = system_matrix(stack, i) @ x[i].ravel()
+        assert np.array_equal(product[i].ravel(), expected)
+        assert np.array_equal(flat[i], expected)
+        operand = sp.csr_matrix((stack.stencil[i].ravel(), indices, indptr), shape=(n, n))
+        assert np.array_equal(operand @ x[i].ravel(), expected)
+    single = assemble(u[0], p[0], cfg, mesh)
+    expected = system_matrix(single) @ x[0].ravel()
+    assert np.array_equal(scheme.apply_stencil(single.stencil, x[0]).ravel(), expected)
+    assert np.array_equal(scheme.apply_stencil(single.stencil, x[0].ravel()), expected)
 
 
 def test_matrix_sign_pattern():
@@ -233,7 +269,7 @@ def test_matrix_sign_pattern():
     cfg = base_cfg()
     u_prev = RNG.random(mesh.shape) + 0.1
     p = RNG.normal(size=mesh.shape)
-    a = assemble(u_prev, p, cfg, mesh).matrix.toarray()
+    a = system_matrix(assemble(u_prev, p, cfg, mesh)).toarray()
     assert np.all(np.diag(a) > 0)
     off = a - np.diag(np.diag(a))
     assert np.all(off <= 0)
@@ -317,11 +353,46 @@ def test_1d_polish_runs_on_the_stencil(monkeypatch):
     monkeypatch.setattr(
         linsolve, "jacobi_positive_polish", lambda *args: calls.append(1) or polish(*args)
     )
-    sol, info = solve_linear(system, cfg)
+    with no_matrix_built():
+        sol, info = solve_linear(system, cfg)
     assert calls == [1]
     assert np.all(sol > 0) and info.clamped == 1
     assert info.residual <= cfg.linear.rel_tol * np.max(system.rhs)
-    assert "matrix" not in vars(system)
+
+
+def test_2d_polish_repairs_one_species_on_the_stencil(monkeypatch):
+    # BiCGStab hands back species 0 with one entry at -1e-14 max: the polish
+    # repairs that species alone, on the stencil operator, exactly as the
+    # oracle polish with the CSR matvec does.
+    mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),) * 2, cells_per_axis=(6, 5)))
+    cfg = base_cfg(dt=0.005)
+    u_prev = RNG.random((2,) + mesh.shape) + 0.1
+    system = assemble(u_prev, RNG.normal(scale=0.01, size=(2,) + mesh.shape), cfg, mesh)
+    untouched, _ = solve_linear(system, cfg)
+    exact = linsolve.bicgstab
+    polish = linsolve.jacobi_positive_polish
+    spoiled, polished = [], []
+
+    def undershoot(*args):
+        x, history = exact(*args)
+        if not spoiled:  # the first call solves species 0
+            x[0] = -1e-14 * x.max()
+            spoiled.append(x.copy())
+        return x, history
+
+    monkeypatch.setattr(linsolve, "bicgstab", undershoot)
+    monkeypatch.setattr(
+        linsolve, "jacobi_positive_polish", lambda *a: polished.append(a[2]) or polish(*a)
+    )
+    sol, info = solve_linear(system, cfg)
+    assert len(polished) == 1 and np.array_equal(polished[0], system.rhs[0])
+    assert np.array_equal(sol[1], untouched[1])
+    target = cfg.linear.rel_tol * np.abs(system.rhs[0]).max()
+    matrix = system_matrix(system, 0)
+    assert np.all(sol > 0) and info.clamped == 0
+    assert np.abs(system.rhs[0] - matrix @ sol[0].ravel()).max() <= target
+    expected, _ = csr_polish(matrix, system.rhs[0], spoiled[0], target)
+    assert np.array_equal(sol[0].ravel(), expected)
 
 
 def test_random_m_matrix_matches_dense_oracle():
@@ -364,10 +435,10 @@ def test_direct_solve_of_assembled_1d_systems(cells, peclet, kappa, diffusion_nu
     p = np.cumsum(rng.uniform(-1.0, 1.0, cells))
     p *= peclet * kappa / max(float(np.abs(np.roll(p, -1) - p).max()), TINY)
     system = assemble(u_prev, p, cfg, mesh)
-    sol, info = solve_linear(system, cfg)
-    assert "matrix" not in vars(system)  # the 1D solve builds no matrix
+    with no_matrix_built():  # the 1D solve builds no matrix
+        sol, info = solve_linear(system, cfg)
     target = cfg.linear.rel_tol * float(np.abs(system.rhs).max())
-    a = system.matrix.toarray()
+    a = system_matrix(system).toarray()
     assert info.residual <= target and info.iterations == 0  # no correction step needed
     assert float(np.abs(system.rhs - a @ sol).max()) <= target
     assert np.all(sol > 0)
@@ -401,7 +472,7 @@ def test_stacked_cyclic_solve_matches_per_species_and_dense(n, cells):
     rng = np.random.default_rng(cells + n)
     cfg = base_cfg(kappa=0.05)
     system = stacked_system(cells, n, cfg, rng)
-    diag, upper, lower = system.slots
+    diag, upper, lower = np.moveaxis(system.stencil, -1, 0)
     x = linsolve.cyclic_tridiagonal(diag, upper, lower, system.rhs)
     assert x.shape == (n, cells) and np.all(x >= 0)
     for i in range(n):
@@ -423,7 +494,7 @@ def test_stacked_assembly_is_the_per_species_assembly(cells):
     sol, _ = solve_linear(stacked, cfg)
     for i in range(3):
         single = assemble(u_prev[i], p[i], cfg, mesh)
-        assert all(np.array_equal(a[i], b) for a, b in zip(stacked.slots, single.slots))
+        assert np.array_equal(stacked.stencil[i], single.stencil)
         assert np.array_equal(stacked.rhs[i], single.rhs)
         alone, _ = solve_linear(single, cfg)
         if mesh.dim == 1:  # one reduction for the stack: its level count may differ
@@ -443,10 +514,9 @@ def test_each_species_meets_its_own_target(monkeypatch):
     monkeypatch.setattr(linsolve, "cyclic_tridiagonal", lambda *args: exact(*args) * (1 + 1e-9))
     sol, info = solve_linear(system, cfg)
     assert info.iterations == 2  # one correction per species
-    targets = [cfg.linear.rel_tol * np.abs(system[i].rhs).max() for i in range(2)]
+    targets = [cfg.linear.rel_tol * np.abs(system.rhs[i]).max() for i in range(2)]
     for i in range(2):
-        part = system[i]
-        assert np.abs(part.rhs - part.matrix @ sol[i]).max() <= targets[i]
+        assert np.abs(system.rhs[i] - system_matrix(system, i) @ sol[i]).max() <= targets[i]
     # Off by 1e-3, one correction leaves 1e-6: the failure reports a species' own history.
     monkeypatch.setattr(linsolve, "cyclic_tridiagonal", lambda *args: exact(*args) * (1 + 1e-3))
     with pytest.raises(SolverFailure) as failure:
@@ -499,8 +569,8 @@ def test_correction_and_polish_leave_the_other_species_bitwise(monkeypatch):
         else:
             assert info.iterations == 1  # one correction step
         assert np.all(sol > 0)
-        part = system[0]
-        assert np.abs(part.rhs - part.matrix @ sol[0]).max() <= cfg.linear.rel_tol * part.rhs.max()
+        residual = system.rhs[0] - system_matrix(system, 0) @ sol[0]
+        assert np.abs(residual).max() <= cfg.linear.rel_tol * system.rhs[0].max()
 
 
 # ---------------------------------------------------------------------------
