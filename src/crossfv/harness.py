@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -523,6 +524,7 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
     modes = [dominant_mode(u) for u in run_summary.final_state.u]
     summary.update(
         {
+            "picard_sweeps": _count_summary([r.picard_iters for r in run_summary.reports]),
             "final_masses": [float(m) for m in run_summary.final_state.masses()],
             "max_mass_drift": run_summary.max_mass_drift,
             "min_density": run_summary.min_density,
@@ -545,6 +547,25 @@ def _run_mode(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _count_summary(counts: list) -> dict:
+    """Total, median, 90th percentile and maximum of counts; all 0 when there are none.
+
+    The percentiles interpolate linearly between the sorted counts, as
+    numpy's default does (numpy's own call would load more of the library).
+    """
+    if not counts:
+        return {"total": 0, "p50": 0.0, "p90": 0.0, "max": 0}
+    ranked = sorted(counts)
+
+    def percentile(q):
+        pos = q * (len(ranked) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(ranked) - 1)
+        return float(ranked[lo] + (ranked[hi] - ranked[lo]) * (pos - lo))
+
+    return {"total": sum(ranked), "p50": percentile(0.5), "p90": percentile(0.9), "max": ranked[-1]}
+
+
 def _solve_final_state(cfg: ExperimentConfig, cells=None, dt=None) -> RunSummary:
     """One ladder entry; its final state keeps only `u`, all the error table reads.
 
@@ -563,11 +584,32 @@ def _solve_final_state(cfg: ExperimentConfig, cells=None, dt=None) -> RunSummary
 
 
 def _run_ladder(cfg: ExperimentConfig, jobs: list) -> list:
-    """Solve independent ladder entries, optionally in a thread pool."""
+    """Solve independent ladder entries, optionally in a thread pool.
+
+    In the pool the results are read in ladder order, so the first entry
+    that fails in that order is raised. After a failure no entry starts:
+    the queued ones are cancelled, and one that a freed worker takes before
+    the cancel is skipped; only entries already running are waited for.
+    """
     if cfg.threads > 1:
+        failed = threading.Event()
+
+        def solve(job):
+            if failed.is_set():
+                return None
+            try:
+                return _solve_final_state(cfg, **job)
+            except BaseException:
+                failed.set()
+                raise
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_solve_final_state, cfg, **job) for job in jobs]
-            return [future.result() for future in futures]
+            futures = [pool.submit(solve, job) for job in jobs]
+            try:
+                return [future.result() for future in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     return [_solve_final_state(cfg, **job) for job in jobs]
 
 

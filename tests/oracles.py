@@ -29,16 +29,25 @@ stays covered on 1D meshes, whose systems ``solve_linear`` solves directly;
 Entropies: ``entropy_rao``, ``fisher_information`` and ``verify_step``
 compute from scratch what ``build_report`` reads off the carried
 ``State.p`` and ``State.h_b``.
+
+Steps: ``plain_picard_advance`` is ``scheme.advance`` without Anderson
+mixing: every iterate is the last sweep's solve. It takes and returns what
+``advance`` does, so a test can run it in ``run``'s place.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.sparse as sp
 
-from crossfv import Extension, UsageError, entropy_boltzmann, linsolve, productions
-from crossfv.diagnostics import _rao, _verdicts
+from crossfv import (
+    Extension, SolverFailure, State, StepFailure, UsageError, assemble, entropy_boltzmann,
+    linsolve, productions, solve_linear,
+)
+from crossfv.diagnostics import _rao, _verdicts, build_report
 from crossfv.kernels import TopHat, _fft_apply, _gaussian_images, _spectrum
 from crossfv.mesh import axis_difference
-from crossfv.scheme import coupling_potential
+from crossfv.scheme import Coupling, coupling_potential
 from crossfv.weights import eval_B_kappa
 
 
@@ -390,3 +399,45 @@ def verify_step(prev, curr, kernel, cfg, psd_ok=None) -> dict:
         cfg,
         psd_ok,
     )
+
+
+def plain_picard_advance(state, kernel, cfg, psd_ok=None, compute_diagnostics=True):
+    """One implicit Euler step by plain Picard sweeps, from the start ``advance`` takes."""
+    u_n = state.u
+    p_n = kernel.potentials(u_n) if state.p is None else state.p
+    if state.u_prev is None or state.p_prev is None:
+        u_iter, p = u_n, p_n
+    else:
+        u_iter = 2.0 * u_n - state.u_prev
+        p = 2.0 * p_n - state.p_prev
+        if cfg.coupling is Coupling.MIDPOINT:
+            p = 0.5 * (p + p_n)
+    errors, residual, clamped, linear_iters = [], 0.0, 0, 0
+    while True:
+        system = assemble(u_n, p, cfg, state.mesh)
+        try:
+            u_new, info = solve_linear(system, cfg, x0=u_iter.reshape(system.rhs.shape))
+        except SolverFailure as exc:
+            raise StepFailure(str(exc), error_history=errors) from exc
+        residual = max(residual, info.residual)
+        clamped += info.clamped
+        linear_iters += info.iterations
+        errors.append(float(np.abs(u_new - u_iter).max()))
+        u_iter = u_new
+        if errors[-1] <= cfg.picard_tol:
+            break
+        if len(errors) == cfg.picard_max_iter:
+            raise StepFailure("Picard budget exhausted", error_history=errors)
+        p = coupling_potential(kernel, u_iter, u_n, cfg.coupling)
+    new_state = State(
+        k=state.k + 1, u=u_iter, mesh=state.mesh, p=kernel.potentials(u_iter),
+        u_prev=u_n, p_prev=p_n,
+    )
+    report = build_report(
+        prev=dataclasses.replace(state, p=p_n), curr=new_state, kernel=kernel, cfg=cfg,
+        picard_iters=len(errors), picard_errors=errors, linear_residual=residual,
+        clamped=clamped, psd_ok=psd_ok, full=compute_diagnostics, linear_iters=linear_iters,
+    )
+    if compute_diagnostics:
+        new_state.h_b = report.h_boltzmann
+    return new_state, report

@@ -6,10 +6,12 @@ traceback, with a strict-JSON `summary.json` after every success and after
 every step failure, which names the failed step; a config spoiled by a value the checks must
 reject exits 2. A successful run keeps the structure the scheme
 guarantees: positive densities, conserved masses and the Boltzmann entropy
-inequality, which holds unconditionally.
+inequality, which holds unconditionally. Its summary counts the Picard
+sweeps of its step rows, none of them over the budget.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -18,6 +20,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfv import parse_config
 from crossfv.cli import main as cli_main
 
 
@@ -154,3 +157,8 @@ def test_drawn_configs_run_or_fail_cleanly(case):
         if code == 0 and command == "run":
             report = (out / "report.csv").read_text()
             assert "boltzmann:FAIL" not in report
+            # The summary's sweep counts are those of the step rows, each within budget.
+            rows = list(csv.DictReader(io.StringIO(report)))
+            counts = summary["picard_sweeps"]
+            assert counts["total"] == sum(int(row["picard_iters"]) for row in rows)
+            assert counts["max"] <= parse_config(raw).scheme.picard_max_iter

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import mpmath
@@ -34,7 +37,7 @@ from crossfv import (
     project_initial,
     run_experiment,
 )
-from crossfv import scheme
+from crossfv import harness, scheme
 from crossfv.cli import main as cli_main
 from crossfv.harness import ErrorTable
 
@@ -401,6 +404,55 @@ def test_threaded_ladder_matches_serial(tmp_path):
     threaded = run_experiment(dataclasses.replace(base, threads=3))
     assert np.array_equal(serial.error_table.l1, threaded.error_table.l1)
     assert np.array_equal(serial.error_table.linf, threaded.error_table.linf)
+
+
+def test_failed_threaded_ladder_starts_no_further_entry(tmp_path, monkeypatch):
+    # Two threads: the coarsest entry fails while the second is running, so
+    # the finer entry and the reference, still queued, must never start.
+    started, second_running = [], threading.Event()
+
+    def entry(cfg, cells=None, dt=None):
+        started.append(cells)
+        if cells == 4:
+            second_running.wait(timeout=10)
+            exc = StepFailure("step 1/5 failed: no convergence", step_index=1, error_history=[1.0])
+            exc.entry = {"cells": [4], "dt": 0.01}
+            raise exc
+        second_running.set()
+        time.sleep(0.2)
+
+    monkeypatch.setattr(harness, "_solve_final_state", entry)
+    path = tiny_config(tmp_path, **space_ladder([4, 8, 16], 32))
+    out = tmp_path / "out"
+    args = ["converge-space", "--config", str(path), "--out", str(out), "--threads", "2"]
+    assert cli_main(args) == 3
+    assert sorted(started) == [4, 8]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells"] == [4] and summary["failed_step"] == 1
+
+
+def test_run_summary_counts_the_picard_sweeps(tmp_path):
+    # Counts read off report.csv; a ladder summary has none, a run of no step zeros.
+    out = tmp_path / "out"
+    cfg = parse_config(tiny_config(tmp_path, out_dir=str(out)))
+    run_experiment(cfg)
+    header, *rows = (out / "report.csv").read_text().splitlines()
+    column = header.split(",").index("picard_iters")
+    sweeps = [int(row.split(",")[column]) for row in rows]
+    summary = json.loads((out / "summary.json").read_text())
+    counts = summary["picard_sweeps"]
+    assert counts.pop("total") == sum(sweeps) and counts.pop("max") == max(sweeps)
+    assert [counts.pop("p50"), counts.pop("p90")] == pytest.approx(
+        np.percentile(sweeps, [50, 90]), rel=1e-15
+    )
+    assert counts == {}
+    empty = dataclasses.replace(cfg, scheme=dataclasses.replace(cfg.scheme, t_end=0.0))
+    counts = run_experiment(empty).summary["picard_sweeps"]
+    assert counts == {"total": 0, "p50": 0.0, "p90": 0.0, "max": 0}
+    ladder = parse_config(
+        tiny_config(tmp_path, mode="converge_space", space_ladder=[4, 8, 16], **mesh_cells(32))
+    )
+    assert "picard_sweeps" not in run_experiment(ladder).summary
 
 
 def test_fft_run_matches_direct_oracle(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from oracles import (
     csr_polish,
     edge_flux,
     flux_divergence,
+    plain_picard_advance,
     scheme_residual,
     system_matrix,
 )
@@ -42,10 +45,12 @@ from crossfv import (
     solve_linear,
 )
 from crossfv import linsolve, scheme
+from crossfv.harness import _build_problem
 from crossfv.kernels import Extension
 
 RNG = np.random.default_rng(42)
 TINY = float(np.finfo(float).tiny)
+RECIPES = Path(__file__).resolve().parents[1] / "configs"
 
 
 def mesh_1d(m=16, a=0.0, b=1.0):
@@ -741,6 +746,137 @@ def test_one_potential_per_sweep(coupling, monkeypatch):
     assert len(calls) == sweeps + 1 + (len(full) if coupling is Coupling.MIDPOINT else 0)
     # The carried potential is the state's own W*u.
     assert np.array_equal(summary.final_state.p, potentials(kernel, summary.final_state.u))
+
+
+def recipe(name, steps):
+    """A committed recipe as a run of its first steps, with no output."""
+    with open(RECIPES / f"{name}.json") as handle:
+        raw = json.load(handle)
+    dt = raw["scheme"]["t_end"] / raw["scheme"].pop("dt_divisor")
+    raw["scheme"].update(dt=dt, t_end=steps * dt)
+    raw.update(mode="run", snapshot_times=[], space_ladder=[], diagnostics_every=1)
+    return parse_config(raw)
+
+
+def problem(cfg):
+    """The initial state, kernel and scheme config of a run."""
+    mesh, kernel, scheme_cfg, state = _build_problem(cfg)
+    return state, kernel, scheme_cfg
+
+
+def on_mesh(cfg, cells):
+    cfg.mesh = MeshSpec(extents=cfg.mesh.extents, cells_per_axis=cells)
+    return cfg
+
+
+def two_sweep_steps():
+    # Two steps that converge in two sweeps: the first of the table3_space_2d
+    # data on 32^2 (from u^n) and the second of table1_space_1d's weak pair on
+    # 64 cells (from the extrapolated state).
+    yield problem(on_mesh(recipe("table3_space_2d", 1), (32, 32)))
+    state, kernel, cfg = problem(on_mesh(recipe("table1_space_1d", 2), (64,)))
+    yield advance(state, kernel, cfg)[0], kernel, cfg
+
+
+def test_steps_within_two_sweeps_are_bitwise_plain_picard():
+    for state, kernel, cfg in two_sweep_steps():
+        new_state, report = advance(state, kernel, cfg)
+        plain_state, plain_report = plain_picard_advance(state, kernel, cfg)
+        assert report.picard_iters == 2
+        assert report.picard_errors == plain_report.picard_errors
+        assert np.array_equal(new_state.u, plain_state.u)
+        assert np.array_equal(new_state.p, plain_state.p)
+
+
+def test_mixing_cuts_the_sweeps_of_an_attractive_run(monkeypatch):
+    # The first 32 steps of entropy_attractive_1d, with and without mixing:
+    # at most 0.8 of the plain sweeps, every gate passing, the same states.
+    # Both stop each step within picard_tol of its fixed point, and the
+    # aggregation amplifies those differences: after 32 steps they are 4.5e-9
+    # of a species' mass in L1 and 2.6e-8 of the peak density in max norm.
+    cfg = recipe("entropy_attractive_1d", 32)
+    mixed = run_experiment(cfg)
+    monkeypatch.setattr(scheme, "advance", plain_picard_advance)
+    plain = run_experiment(cfg)
+    sweeps = [
+        sum(r.picard_iters for r in result.run_summary.reports) for result in (mixed, plain)
+    ]
+    assert sweeps[0] <= 0.8 * sweeps[1]
+    assert mixed.summary["gated_failures"] == 0
+    assert mixed.summary["max_mass_drift"] <= 1e-13
+    u, u_plain = mixed.run_summary.final_state.u, plain.run_summary.final_state.u
+    l1 = np.abs(u - u_plain).sum(axis=1) / u_plain.sum(axis=1)
+    assert np.max(l1) <= 1e-8
+
+
+def slow_first_step():
+    """Step 1 of entropy_attractive_1d, which takes dozens of sweeps."""
+    return problem(recipe("entropy_attractive_1d", 1))
+
+
+def test_growing_error_drops_the_history(monkeypatch):
+    # Sweep 6's solve is spoiled so that its error grows: the iterate of
+    # sweep 7 is then that solve itself, where sweep 6's was a mixed one.
+    state, kernel, cfg = slow_first_step()
+    solve_linear_ = scheme.solve_linear
+    calls = []
+
+    def spoiled(system, cfg, x0=None):
+        u, info = solve_linear_(system, cfg, x0)
+        if len(calls) == 5:
+            u = 1.5 * u
+        calls.append((x0.copy(), u))
+        return u, info
+
+    monkeypatch.setattr(scheme, "solve_linear", spoiled)
+    new_state, report = advance(state, kernel, cfg, compute_diagnostics=False)
+    errors = report.picard_errors
+    assert errors[5] > errors[4] and report.picard_iters > 7
+    flat = calls[6][0].shape
+    assert not np.array_equal(calls[5][0], calls[4][1].reshape(flat))  # mixed
+    assert np.array_equal(calls[6][0], calls[5][1].reshape(flat))  # plain G(x)
+    assert not np.array_equal(calls[7][0], calls[6][1].reshape(flat))  # mixed again
+
+
+def test_negative_mixed_iterates_keep_the_state_positive_and_its_mass(monkeypatch):
+    # The accepted state is a raw M-matrix solve, whatever iterate fed its
+    # potential: every mixed iterate gets negative cells, the first a gross
+    # undershoot (every third cell at minus the peak), every one the vacuum
+    # cells below 1e-200 negated, which moves no error the tolerance sees.
+    state, kernel, cfg = slow_first_step()
+    mix = scheme._Anderson.mix
+    calls, negated = [], []
+
+    def negative(self, g, f, err):
+        x = mix(self, g, f, err)
+        calls.append(err)
+        if len(calls) == 1:  # the history's replay of sweep 1, whose iterate is not used
+            return x
+        x = x.copy()
+        if not negated:
+            x[:, ::3] = -x.max()
+        vacuum = np.abs(x) < 1e-200
+        x[vacuum] = -x[vacuum] - TINY
+        negated.append(int(np.count_nonzero(x < 0)))
+        return x
+
+    monkeypatch.setattr(scheme._Anderson, "mix", negative)
+    new_state, report = advance(state, kernel, cfg)
+    assert len(negated) >= 2 and min(negated) > 0
+    assert np.all(new_state.u > 0) and report.min_density > 0
+    drift = np.abs(new_state.masses() - state.masses()) / state.masses()
+    assert np.max(drift) <= 1e-13
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+def test_small_picard_budget_keeps_one_error_per_sweep(budget):
+    state, kernel, cfg = slow_first_step()
+    cfg = dataclasses.replace(cfg, picard_max_iter=budget)
+    with pytest.raises(StepFailure) as excinfo:
+        run(cfg, state, kernel)
+    assert excinfo.value.step_index == 1
+    errors = excinfo.value.error_history
+    assert len(errors) == budget and errors[-1] > cfg.picard_tol
 
 
 def test_run_zero_steps_returns_initial():
