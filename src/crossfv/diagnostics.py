@@ -8,6 +8,7 @@ from-scratch references it is tested against are in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,46 +188,54 @@ def build_report(
     return report
 
 
-def report_csv_header(n_species: int) -> str:
-    cols = ["step", "time"]
-    cols += [f"mass_{i + 1}" for i in range(n_species)]
-    cols += ["H_B", "H_R", "fisher", "P_B", "P_R", "X", "picard_iters"]
-    cols += ["linear_iters", "linear_residual", "clamped", "min_density"]
-    cols += ["slack_HB", "slack_HR", "slack_fisher", "verdicts"]
-    return ",".join(cols)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@functools.lru_cache(maxsize=8)
+def _csv_columns(n_species: int) -> tuple:
+    """report.csv's columns in order, as (name, cell of a StepReport) pairs.
+
+    The one owner of the layout: the header and every row are read off it.
+    """
+
+    def field(name, fmt=_fmt):
+        return lambda report: fmt(getattr(report, name))
+
+    def slack(check):
+        return lambda report: _fmt(report.verdicts[check].slack if report.verdicts else np.nan)
+
+    def verdicts(report):
+        return ";".join(
+            f"{name}:{'pass' if verdict.passed else 'FAIL'}"
+            for name, verdict in (report.verdicts or {}).items()
+        )
+
+    return (
+        ("step", field("step", str)),
+        ("time", field("time")),
+        *((f"mass_{i + 1}", lambda report, i=i: _fmt(report.masses[i])) for i in range(n_species)),
+        ("H_B", field("h_boltzmann")),
+        ("H_R", field("h_rao")),
+        ("fisher", field("fisher")),
+        ("P_B", field("p_b")),
+        ("P_R", field("p_r")),
+        ("X", field("cross")),
+        ("picard_iters", field("picard_iters", str)),
+        ("linear_iters", field("linear_iters", str)),
+        ("linear_residual", field("linear_residual")),
+        ("clamped", field("clamped", str)),
+        ("min_density", field("min_density")),
+        ("slack_HB", slack("boltzmann")),
+        ("slack_HR", slack("rao")),
+        ("slack_fisher", slack("fisher")),
+        ("verdicts", verdicts),
+    )
+
+
+def report_csv_header(n_species: int) -> str:
+    return ",".join(name for name, _ in _csv_columns(n_species))
+
+
 def report_csv_row(report: StepReport) -> str:
-    cells = [str(report.step), _fmt(report.time)]
-    cells += [_fmt(m) for m in report.masses]
-    cells += [
-        _fmt(report.h_boltzmann),
-        _fmt(report.h_rao),
-        _fmt(report.fisher),
-        _fmt(report.p_b),
-        _fmt(report.p_r),
-        _fmt(report.cross),
-        str(report.picard_iters),
-        str(report.linear_iters),
-        _fmt(report.linear_residual),
-        str(report.clamped),
-        _fmt(report.min_density),
-    ]
-    if report.verdicts is None:
-        cells += ["nan", "nan", "nan", ""]
-    else:
-        v = report.verdicts
-        cells += [
-            _fmt(v["boltzmann"].slack),
-            _fmt(v["rao"].slack),
-            _fmt(v["fisher"].slack),
-            ";".join(
-                f"{name}:{'pass' if verdict.passed else 'FAIL'}"
-                for name, verdict in v.items()
-            ),
-        ]
-    return ",".join(cells)
+    return ",".join(cell(report) for _, cell in _csv_columns(len(report.masses)))
