@@ -2,21 +2,22 @@
 
 All reductions run in a fixed lexicographic cell/edge order so repeated
 runs produce bit-identical diagnostics. `build_report` reads each state's
-carried potential `State.p` and, when set, its entropy `State.h_b`; the
-from-scratch references it is tested against are in `tests/oracles.py`.
+carried potential `State.p` and, when set, its entropy `State.h_b`, and
+forms the productions' coupling potential from the two carried potentials
+by the scheme's one rule (`scheme.coupled`), so a report convolves nothing
+and needs no kernel. The from-scratch references it is tested against are
+in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
-from .kernels import DiscreteKernel
 from .mesh import axis_difference, roll
-from .scheme import Coupling, SchemeConfig, State, coupling_potential
+from .scheme import Coupling, SchemeConfig, State, coupled
 from .weights import eval_B_kappa
 
 
@@ -139,9 +140,7 @@ def _verdicts(
 def build_report(
     prev: State,
     curr: State,
-    kernel: DiscreteKernel,
     cfg: SchemeConfig,
-    picard_iters: int,
     picard_errors: list,
     linear_residual: float,
     clamped: int,
@@ -153,16 +152,16 @@ def build_report(
 
     A full report takes H_R from the carried `prev.p` and `curr.p`, H_B of
     `prev` from `prev.h_b` when a previous full report set it, and the
-    productions from `curr.p` (implicit) or one `coupling_potential` call
-    (mid-point): one convolution under mid-point coupling, none otherwise.
-    `linear_iters` is the step's linear iterations summed over sweeps and
-    species.
+    productions from `coupled(curr.p, prev.p)`: `curr.p` (implicit) or the
+    mean of the two (mid-point). It convolves nothing. The report's
+    `picard_iters` counts `picard_errors`, one per sweep; `linear_iters` is
+    the step's linear iterations summed over sweeps and species.
     """
     report = StepReport(
         step=curr.k,
         time=curr.k * cfg.dt,
         masses=curr.masses(),
-        picard_iters=picard_iters,
+        picard_iters=len(picard_errors),
         picard_errors=list(picard_errors),
         linear_iters=linear_iters,
         linear_residual=linear_residual,
@@ -172,10 +171,7 @@ def build_report(
     if full:
         if prev.p is None or curr.p is None:
             raise UsageError("a full report needs the potential State.p of both states")
-        p = curr.p
-        if cfg.coupling is Coupling.MIDPOINT:
-            p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
-        terms = productions(curr, p, cfg)
+        terms = productions(curr, coupled(curr.p, prev.p, cfg.coupling), cfg)
         h_b_prev = entropy_boltzmann(prev) if prev.h_b is None else prev.h_b
         prev_h = (h_b_prev, _rao(prev, prev.p))
         curr_h = (entropy_boltzmann(curr), _rao(curr, curr.p))
@@ -192,12 +188,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@functools.lru_cache(maxsize=8)
 def _csv_columns(n_species: int) -> tuple:
-    """report.csv's columns in order, as (name, cell of a StepReport) pairs.
-
-    The one owner of the layout: the header and every row are read off it.
-    """
+    """report.csv's columns in order, as (name, cell of a StepReport): the layout's one owner."""
 
     def field(name, fmt=_fmt):
         return lambda report: fmt(getattr(report, name))
@@ -212,24 +204,15 @@ def _csv_columns(n_species: int) -> tuple:
         )
 
     return (
-        ("step", field("step", str)),
-        ("time", field("time")),
+        ("step", field("step", str)), ("time", field("time")),
         *((f"mass_{i + 1}", lambda report, i=i: _fmt(report.masses[i])) for i in range(n_species)),
-        ("H_B", field("h_boltzmann")),
-        ("H_R", field("h_rao")),
-        ("fisher", field("fisher")),
-        ("P_B", field("p_b")),
-        ("P_R", field("p_r")),
-        ("X", field("cross")),
-        ("picard_iters", field("picard_iters", str)),
-        ("linear_iters", field("linear_iters", str)),
-        ("linear_residual", field("linear_residual")),
-        ("clamped", field("clamped", str)),
+        ("H_B", field("h_boltzmann")), ("H_R", field("h_rao")), ("fisher", field("fisher")),
+        ("P_B", field("p_b")), ("P_R", field("p_r")), ("X", field("cross")),
+        ("picard_iters", field("picard_iters", str)), ("linear_iters", field("linear_iters", str)),
+        ("linear_residual", field("linear_residual")), ("clamped", field("clamped", str)),
         ("min_density", field("min_density")),
-        ("slack_HB", slack("boltzmann")),
-        ("slack_HR", slack("rao")),
-        ("slack_fisher", slack("fisher")),
-        ("verdicts", verdicts),
+        ("slack_HB", slack("boltzmann")), ("slack_HR", slack("rao")),
+        ("slack_fisher", slack("fisher")), ("verdicts", verdicts),
     )
 
 

@@ -211,7 +211,7 @@ def _parse_scheme(raw: dict) -> SchemeConfig:
     if ("dt" in fields) == (divisor is not None):
         raise ConfigurationError("scheme needs exactly one of 'dt' and 'dt_divisor'")
     if divisor is not None:
-        fields["dt"] = float(raw["t_end"]) / _integer(divisor, "scheme.dt_divisor")
+        fields["dt"] = float(raw["t_end"]) / _integer(divisor, "scheme.dt_divisor", minimum=1)
     linear = fields.pop("linear_solver", {})
     _reject_unknown(linear, _keys(LinearSolverConfig), "scheme.linear_solver.")
     return SchemeConfig(**fields, linear=LinearSolverConfig(**linear))

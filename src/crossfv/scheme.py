@@ -16,11 +16,14 @@ Each accepted state carries its own potential p = W*u, computed once and
 read by the next step and by the diagnostics, after a full report its
 Boltzmann entropy H_B, and the previous level's u and p, from which the
 next step's Picard iteration starts at the extrapolated state
-2u^n - u^(n-1). From the third sweep of a step on, the iterate that
-feeds the next potential is mixed from the last three sweeps (type-II
-Anderson, `_Anderson`), with the history dropped when the Picard error
-grows; the first two sweeps stay plain and the accepted state is always
-a raw M-matrix solve (see `advance`).
+2u^n - u^(n-1). One rule, `coupled`, forms every coupling potential from
+potentials alone: W*x at an iterate x (implicit) or, by linearity of W,
+W*((x + u^n)/2) = (W*x + p^n)/2 (mid-point), so a sweep convolves only its
+iterate and a step report convolves nothing. From the third sweep of a
+step on, the iterate that feeds the next potential is mixed from the last
+three sweeps (type-II Anderson, `_Anderson`), with the history dropped
+when the Picard error grows; the first two sweeps stay plain and the
+accepted state is always a raw M-matrix solve (see `advance`).
 """
 
 from __future__ import annotations
@@ -85,8 +88,11 @@ class SchemeConfig:
         self.coupling = Coupling(self.coupling)
         if not 0 < self.kappa < np.inf:
             raise ConfigurationError(f"kappa must be positive and finite, got {self.kappa}")
-        if self.dt <= 0 or self.t_end < 0:
-            raise ConfigurationError("time step and end time must be positive")
+        # Before n_steps: an infinite dt would run no step, a NaN one would not round.
+        if not 0 <= self.t_end < np.inf:
+            raise ConfigurationError(f"scheme.t_end must be finite and >= 0, got {self.t_end}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigurationError(f"scheme.dt must be positive and finite, got {self.dt}")
         steps = self.t_end / self.dt
         if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, without overflow on inf
             raise ConfigurationError(f"step budget exceeded: {steps:.0f} steps > {MAX_STEPS}")
@@ -316,15 +322,15 @@ def solve_linear(
     return x.reshape(lead + system.mesh.shape), info
 
 
-def coupling_potential(
-    kernel: DiscreteKernel, curr: np.ndarray, prev: np.ndarray, coupling: Coupling
-) -> np.ndarray:
-    """Potential at curr (implicit) or at the mean of curr and prev (mid-point)."""
-    if np.shape(curr) != np.shape(prev):
-        raise UsageError("current and previous fields must have matching shapes")
+def coupled(w_x: np.ndarray, p_n: np.ndarray, coupling: Coupling) -> np.ndarray:
+    """The coupling potential of a step at x, from W*x and the step's own p^n = W*u^n.
+
+    W*x (implicit) or W*((x + u^n)/2) = (W*x + p^n)/2 (mid-point), exact by
+    linearity of W, so forming it convolves nothing.
+    """
     if coupling is Coupling.IMPLICIT:
-        return kernel.potentials(curr)
-    return kernel.potentials(0.5 * (np.asarray(curr, dtype=float) + prev))
+        return w_x
+    return 0.5 * (w_x + p_n)
 
 
 def _picard_start(state: State) -> np.ndarray:
@@ -445,11 +451,12 @@ def advance(
     """One implicit Euler step: the fixed point u = G(u) by Anderson-accelerated Picard sweeps.
 
     One sweep evaluates the Picard map G at an iterate x: the coupling
-    potential at x, then the batched M-matrix solves with it frozen. With a
-    predecessor u^(n-1) the first iterate is x_0 = 2u^n - u^(n-1), whose
-    potential 2p^n - p^(n-1) is exact by linearity of W and so free of
-    convolution (mid-point coupling takes the mean of that and p^n);
-    without one, x_0 = u^n with `state.p`. Sweep k records
+    potential `coupled(W*x, p^n)`, then the batched M-matrix solves with it
+    frozen. With a predecessor u^(n-1) the first iterate is
+    x_0 = 2u^n - u^(n-1), whose W*x_0 = 2p^n - p^(n-1) is exact by
+    linearity of W and so free of convolution; without one, x_0 = u^n and
+    W*x_0 is `state.p`. Every later sweep convolves its iterate once, under
+    either coupling. Sweep k records
     err = ||G(x_k) - x_k||_inf (one entry per sweep in the report's and a
     StepFailure's error history; `picard_max_iter` bounds the sweeps), and
     the step is accepted at the first err <= picard_tol with the new state
@@ -463,8 +470,8 @@ def advance(
     later iterate is the type-II Anderson iterate of `_Anderson`. A mixed
     iterate only feeds the next potential, so s sweeps still cost s
     convolutions, the last for the new state's `p` (one more when
-    `state.p` is None; `state` itself is never modified). The mixing has
-    fixed constants and no setting:
+    `state.p` is None; `state` itself is never modified), and the step
+    report none. The mixing has fixed constants and no setting:
     - depth 3 (`_ANDERSON_DEPTH`): on the first 96 steps of
       entropy_attractive_1d, plain Picard takes 1890 sweeps, depth 3 takes
       1406, depth 4 1357, depth 5 1317 and depth 8 1279. Depth 3 is the
@@ -495,12 +502,8 @@ def advance(
     u_n = state.u
     p_n = kernel.potentials(u_n) if state.p is None else state.p
     u_iter = _picard_start(state)
-    if u_iter is u_n:
-        p = p_n
-    else:
-        p = 2.0 * p_n - state.p_prev
-        if cfg.coupling is Coupling.MIDPOINT:
-            p = 0.5 * (p + p_n)
+    # W*x_0 by linearity of W: p^n, or 2p^n - p^(n-1) from the extrapolated start.
+    p = coupled(p_n if u_iter is u_n else 2.0 * p_n - state.p_prev, p_n, cfg.coupling)
     errors = []
     residual = 0.0
     clamped = 0
@@ -543,16 +546,14 @@ def advance(
             u_iter = mixing.mix(u_new, u_new - u_iter, err)
         else:
             u_iter = u_new
-        p = coupling_potential(kernel, u_iter, u_n, cfg.coupling)
+        p = coupled(kernel.potentials(u_iter), p_n, cfg.coupling)
     new_state = State(
         k=state.k + 1, u=u_new, mesh=mesh, p=kernel.potentials(u_new), u_prev=u_n, p_prev=p_n
     )
     report = diagnostics.build_report(
         prev=replace(state, p=p_n),
         curr=new_state,
-        kernel=kernel,
         cfg=cfg,
-        picard_iters=len(errors),
         picard_errors=errors,
         linear_residual=residual,
         clamped=clamped,

@@ -28,7 +28,8 @@ stays covered on 1D meshes, whose systems ``solve_linear`` solves directly;
 
 Entropies: ``entropy_rao``, ``fisher_information`` and ``verify_step``
 compute from scratch what ``build_report`` reads off the carried
-``State.p`` and ``State.h_b``.
+``State.p`` and ``State.h_b``: ``verify_step`` convolves both states afresh
+and couples those potentials by the scheme's rule ``coupled``.
 
 Steps: ``plain_picard_advance`` is ``scheme.advance`` without Anderson
 mixing: every iterate is the last sweep's solve. It takes and returns what
@@ -47,7 +48,7 @@ from crossfv import (
 from crossfv.diagnostics import _rao, _verdicts, build_report
 from crossfv.kernels import TopHat, _fft_apply, _gaussian_images, _spectrum
 from crossfv.mesh import axis_difference
-from crossfv.scheme import Coupling, coupling_potential
+from crossfv.scheme import coupled
 from crossfv.weights import eval_B_kappa
 
 
@@ -391,7 +392,7 @@ def fisher_information(u, mesh) -> float:
 
 def verify_step(prev, curr, kernel, cfg, psd_ok=None) -> dict:
     """The verdicts of a full report, from entropies and potentials computed afresh."""
-    p = coupling_potential(kernel, curr.u, prev.u, cfg.coupling)
+    p = coupled(kernel.potentials(curr.u), kernel.potentials(prev.u), cfg.coupling)
     return _verdicts(
         productions(curr, p, cfg),
         (entropy_boltzmann(prev), entropy_rao(prev, kernel)),
@@ -406,12 +407,10 @@ def plain_picard_advance(state, kernel, cfg, psd_ok=None, compute_diagnostics=Tr
     u_n = state.u
     p_n = kernel.potentials(u_n) if state.p is None else state.p
     if state.u_prev is None or state.p_prev is None:
-        u_iter, p = u_n, p_n
+        u_iter, w_iter = u_n, p_n
     else:
-        u_iter = 2.0 * u_n - state.u_prev
-        p = 2.0 * p_n - state.p_prev
-        if cfg.coupling is Coupling.MIDPOINT:
-            p = 0.5 * (p + p_n)
+        u_iter, w_iter = 2.0 * u_n - state.u_prev, 2.0 * p_n - state.p_prev
+    p = coupled(w_iter, p_n, cfg.coupling)
     errors, residual, clamped, linear_iters = [], 0.0, 0, 0
     while True:
         system = assemble(u_n, p, cfg, state.mesh)
@@ -428,15 +427,15 @@ def plain_picard_advance(state, kernel, cfg, psd_ok=None, compute_diagnostics=Tr
             break
         if len(errors) == cfg.picard_max_iter:
             raise StepFailure("Picard budget exhausted", error_history=errors)
-        p = coupling_potential(kernel, u_iter, u_n, cfg.coupling)
+        p = coupled(kernel.potentials(u_iter), p_n, cfg.coupling)
     new_state = State(
         k=state.k + 1, u=u_iter, mesh=state.mesh, p=kernel.potentials(u_iter),
         u_prev=u_n, p_prev=p_n,
     )
     report = build_report(
-        prev=dataclasses.replace(state, p=p_n), curr=new_state, kernel=kernel, cfg=cfg,
-        picard_iters=len(errors), picard_errors=errors, linear_residual=residual,
-        clamped=clamped, psd_ok=psd_ok, full=compute_diagnostics, linear_iters=linear_iters,
+        prev=dataclasses.replace(state, p=p_n), curr=new_state, cfg=cfg, picard_errors=errors,
+        linear_residual=residual, clamped=clamped, psd_ok=psd_ok, full=compute_diagnostics,
+        linear_iters=linear_iters,
     )
     if compute_diagnostics:
         new_state.h_b = report.h_boltzmann

@@ -37,6 +37,8 @@ BAD_VALUES = [
     lambda raw: raw.update(unknown_key=1),
     lambda raw: raw["scheme"].update(dt_divisr=4),
     lambda raw: raw["scheme"].update(dt=-raw["scheme"]["dt"]),
+    lambda raw: raw["scheme"].update(dt=float("inf")),
+    lambda raw: raw["scheme"].update(dt_divisor=0) or raw["scheme"].pop("dt"),
     lambda raw: raw["scheme"].update(kappa=float("nan")),
     lambda raw: raw["mesh"].update(cells=[c + 0.5 for c in raw["mesh"]["cells"]]),
     lambda raw: raw["mesh"].update(cells=[1] * len(raw["mesh"]["cells"])),

@@ -276,9 +276,9 @@ def test_rao_gating_rules():
 
 @pytest.mark.parametrize("coupling", ["implicit", "midpoint"])
 def test_full_report_is_single_pass(coupling, monkeypatch):
-    # A full report reads H_R off the carried potentials State.p: it
-    # convolves only for the mid-point coupling potential, and its verdicts
-    # and H_R equal the from-scratch verify_step and entropy_rao.
+    # A full report reads H_R and the coupling potential off the carried
+    # potentials State.p: it convolves nothing under either coupling, and its
+    # verdicts and H_R equal the from-scratch verify_step and entropy_rao.
     mesh = unit_mesh(24)
     spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shape=Gaussian(eps=0.4))
     kernel = discretize(spec, mesh)
@@ -295,17 +295,16 @@ def test_full_report_is_single_pass(coupling, monkeypatch):
         return potentials(self, u)
 
     monkeypatch.setattr(DiscreteKernel, "potentials", counted)
-    report = build_report(state, new_state, kernel, cfg, 3, [1.0, 0.1, 0.0], 0.0, 0, True, True)
-    assert len(calls) == (1 if coupling == "midpoint" else 0)
+    report = build_report(state, new_state, cfg, [1.0, 0.1, 0.0], 0.0, 0, True, True)
+    assert len(calls) == 0
+    assert report.picard_iters == 3
     expected = verify_step(state, new_state, kernel, cfg, psd_ok=True)
     assert {k: v.slack for k, v in report.verdicts.items()} == {
         k: v.slack for k, v in expected.items()
     }
     assert report.h_rao == entropy_rao(new_state, kernel)
     with pytest.raises(UsageError, match="State.p"):
-        build_report(
-            State(k=0, u=u0, mesh=mesh), new_state, kernel, cfg, 1, [0.0], 0.0, 0, True, True
-        )
+        build_report(State(k=0, u=u0, mesh=mesh), new_state, cfg, [0.0], 0.0, 0, True, True)
 
 
 def test_boltzmann_entropy_carried_between_reports(monkeypatch):

@@ -563,6 +563,15 @@ def strengths(value):
         (dt_divisor(5, kappa=float("inf")), [], "kappa must be positive and finite"),
         (dt_divisor(5, picard_tol=float("nan")), [], "Picard tolerances"),
         (dt_divisor(5, linear_solver={"rel_tol": float("nan")}), [], "linear solver tolerances"),
+        # An infinite dt would run no step and report the full t_end; a NaN one
+        # or a NaN t_end would fail to round, and a zero divisor to divide.
+        ({"scheme": {"kappa": 0.05, "dt": float("inf"), "t_end": 1.0}}, [],
+         "scheme.dt must be positive and finite"),
+        ({"scheme": {"kappa": 0.05, "dt": float("nan"), "t_end": 0.05}}, [],
+         "scheme.dt must be positive and finite"),
+        ({"scheme": {"kappa": 0.05, "dt": 0.01, "t_end": float("nan")}}, [],
+         "scheme.t_end must be finite"),
+        (dt_divisor(0), [], f"scheme.dt_divisor {INTEGER} >= 1"),
         # A non-finite datum passes the positivity floor and would fail inside step 1.
         ({"initial": [{"type": "constant", "value": float("nan")}]}, [],
          "initial datum value must be finite"),
@@ -590,7 +599,8 @@ def strengths(value):
         "fraction-linear-max-iter", "fraction-diag", "fraction-threads",
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
         "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
-        "nan-picard-tol", "nan-rel-tol", "nan-constant", "nan-amplitude", "nan-offset",
+        "nan-picard-tol", "nan-rel-tol", "inf-dt", "nan-dt", "nan-t-end", "zero-dt-divisor",
+        "nan-constant", "nan-amplitude", "nan-offset",
         "negative-normalize-to", "zero-normalize-to", "dt-and-dt-divisor",
     ],
 )

@@ -26,7 +26,7 @@ from crossfv import (
     small_mass_threshold,
 )
 from crossfv.kernels import sup_norm
-from crossfv.scheme import Coupling, coupling_potential
+from crossfv.scheme import Coupling, coupled
 
 RNG = np.random.default_rng(1234)
 
@@ -329,12 +329,16 @@ def test_midpoint_potential_reductions():
     kernel = two_species_kernel(mesh)
     u = RNG.random(size=(2,) + mesh.shape)
     v = RNG.random(size=(2,) + mesh.shape)
-    same = coupling_potential(kernel, u, u, Coupling.MIDPOINT)
+    # The mid-point rule on potentials is W*((u + v)/2), by linearity of W;
+    # the implicit rule is W*u itself.
+    p_u, p_v = kernel.potentials(u), kernel.potentials(v)
+    assert coupled(p_u, p_v, Coupling.IMPLICIT) is p_u
+    same = coupled(p_u, p_u, Coupling.MIDPOINT)
     assert np.allclose(same, kernel.potentials(u), rtol=1e-14)
-    half = coupling_potential(kernel, u, np.zeros_like(u), Coupling.MIDPOINT)
-    assert np.allclose(half, 0.5 * kernel.potentials(u), rtol=1e-14)
-    mid = coupling_potential(kernel, u, v, Coupling.MIDPOINT)
-    direct = 0.5 * (kernel.potentials(u) + kernel.potentials(v))
+    half = coupled(p_u, kernel.potentials(np.zeros_like(u)), Coupling.MIDPOINT)
+    assert np.allclose(half, kernel.potentials(0.5 * u), rtol=1e-14)
+    mid = coupled(p_u, p_v, Coupling.MIDPOINT)
+    direct = kernel.potentials(0.5 * (u + v))
     assert np.allclose(mid, direct, rtol=1e-12, atol=1e-14)
 
 

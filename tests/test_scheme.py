@@ -721,7 +721,7 @@ def test_scheme_residual_within_tolerance_scale():
 def test_one_potential_per_sweep(coupling, monkeypatch):
     # Each sweep convolves once (the first reuses the previous state's p,
     # the last one is the new state's p), plus once per run for the initial
-    # state and once per full report under mid-point coupling.
+    # state; a full report convolves nothing under either coupling.
     mesh = mesh_1d(24)
     spec = KernelSpec(strengths=np.array([[0.3, 0.1], [0.1, 0.2]]), shape=Gaussian(eps=0.4))
     kernel = discretize(spec, mesh)
@@ -743,7 +743,7 @@ def test_one_potential_per_sweep(coupling, monkeypatch):
     assert summary.n_steps == 3 and len(full) == 2
     sweeps = sum(r.picard_iters for r in summary.reports)
     assert sweeps > 3
-    assert len(calls) == sweeps + 1 + (len(full) if coupling is Coupling.MIDPOINT else 0)
+    assert len(calls) == sweeps + 1
     # The carried potential is the state's own W*u.
     assert np.array_equal(summary.final_state.p, potentials(kernel, summary.final_state.u))
 
