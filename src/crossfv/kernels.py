@@ -22,6 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these two on first use; load them with the package, not in a run's set-up.
+import numpy.fft
+import numpy.polynomial
 
 from .errors import ConfigurationError, UsageError, _integer
 from .mesh import Mesh
@@ -36,6 +39,12 @@ class Gaussian:
     def __post_init__(self):
         if not np.isfinite(self.eps) or self.eps <= 0:
             raise ConfigurationError(f"Gaussian width must be positive, got {self.eps}")
+        # The exponent divides by eps**2: below about 7.5e-155, 1/eps**2 overflows.
+        eps2 = float(self.eps) * float(self.eps)  # `**` would raise on overflow
+        if eps2 == 0.0 or not math.isfinite(1.0 / eps2):
+            raise ConfigurationError(
+                f"Gaussian width kernel.eps = {self.eps} is too small: 1/eps**2 is not finite"
+            )
 
     @property
     def normalization(self) -> float:

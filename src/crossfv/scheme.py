@@ -9,9 +9,12 @@ sweep is one `assemble` and one `solve_linear` call on the whole species
 stack: on the 1D torus the periodic tridiagonal systems are solved
 directly from the stencil in one batched reduction; for dim >= 2
 BiCGStab runs on each species' CSR matrix, built from its stencil as the
-solver's operand and nowhere else. `apply_stencil` is the one matvec of
-the residual checks and the positivity polish in every dimension. Each
-species keeps its own tolerance, correction step and positivity polish.
+solver's operand and nowhere else. That operand is scipy's only use:
+`scipy.sparse` is imported inside `solve_linear`'s dim >= 2 branch (and
+loaded ahead by `harness.ExperimentConfig` once a config's mesh has
+dim >= 2), so a 1D run never imports scipy. `apply_stencil` is the one
+matvec of the residual checks and the positivity polish in every
+dimension. Each species keeps its own tolerance, correction step and positivity polish.
 Each accepted state carries its own potential p = W*u, computed once and
 read by the next step and by the diagnostics, after a full report its
 Boltzmann entropy H_B, and the previous level's u and p, from which the
@@ -34,7 +37,6 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linsolve
 from .errors import (
@@ -65,8 +67,11 @@ class LinearSolverConfig:
     def __post_init__(self):
         self.rel_tol = float(self.rel_tol)
         self.max_iter = _integer(self.max_iter, "scheme.linear_solver.max_iter", minimum=1)
-        if not self.rel_tol > 0:
-            raise ConfigurationError("linear solver tolerances must be positive")
+        if not 0 < self.rel_tol < np.inf:
+            raise ConfigurationError(
+                "linear solver tolerances must be positive and finite: "
+                f"scheme.linear_solver.rel_tol is {self.rel_tol}"
+            )
 
 
 @dataclass
@@ -100,8 +105,11 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"time step {self.dt} does not divide end time {self.t_end}"
             )
-        if not self.picard_tol > 0:
-            raise ConfigurationError("Picard tolerances must be positive")
+        if not 0 < self.picard_tol < np.inf:
+            raise ConfigurationError(
+                f"Picard tolerances must be positive and finite: scheme.picard_tol is "
+                f"{self.picard_tol}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -272,7 +280,8 @@ def solve_linear(
     residual misses its own target takes one correction step with the same
     solve. For dim >= 2 Jacobi-scaled BiCGStab runs on each system in turn,
     from `x0` (shaped like `rhs`), with the system's CSR matrix on the
-    cached pattern as its operand: the one place a matrix is built. The
+    cached pattern as its operand: the one place a matrix is built, and
+    the one place scipy is imported (1D never imports it). The
     exact solution is strictly positive (inverse-positive M-matrix); entries
     driven negative or to zero by roundoff within 1e-15 * max(u_i) are
     clamped to the smallest positive normal float and counted. Larger
@@ -288,6 +297,8 @@ def solve_linear(
         x, residual, corrected = _solve_direct(system, target)
         residual, iterations = np.array(residual), np.array(corrected, dtype=int)
     else:
+        import scipy.sparse as sp
+
         indices, indptr = _csr_pattern(system.mesh)
         n = system.mesh.n_cells
         x = np.empty_like(system.rhs)

@@ -29,6 +29,11 @@ def _zero_target_mass(raw):
     raw["initial"][0] = {"type": "trig", "modes": [0] * dim, "offset": 1.0, "normalize_to": 0.0}
 
 
+def _tiny_gaussian(raw):
+    raw["kernel"].pop("radius", None)
+    raw["kernel"].update(shape="gaussian", eps=1e-200)
+
+
 # Each spoils a valid config in one place: the first with a Picard budget of
 # one sweep, which a step may exhaust (exit 3), the others with a key or value
 # that the config checks must reject (exit 2).
@@ -40,6 +45,9 @@ BAD_VALUES = [
     lambda raw: raw["scheme"].update(dt=float("inf")),
     lambda raw: raw["scheme"].update(dt_divisor=0) or raw["scheme"].pop("dt"),
     lambda raw: raw["scheme"].update(kappa=float("nan")),
+    lambda raw: raw["scheme"].update(picard_tol=float("inf")),
+    lambda raw: raw["scheme"].update(linear_solver={"rel_tol": float("inf")}),
+    _tiny_gaussian,
     lambda raw: raw["mesh"].update(cells=[c + 0.5 for c in raw["mesh"]["cells"]]),
     lambda raw: raw["mesh"].update(cells=[1] * len(raw["mesh"]["cells"])),
     lambda raw: raw["kernel"].update(strengths=[[1.0, 2.0]]),

@@ -357,25 +357,59 @@ def test_outputs_bit_identical_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_1d_run_imports_no_scipy_lapack(tmp_path):
-    # 1D transport systems are solved in numpy; importing scipy.linalg or
-    # scipy.sparse.linalg would load a second BLAS and raise the peak RSS.
-    code = f"""
-import json, sys
-from crossfv import parse_config, run_experiment
-raw = json.loads({(CONFIG_DIR / "entropy_repulsive_1d.json").read_text()!r})
-raw["scheme"].update(t_end=0.25, dt_divisor=8)
-raw.update(snapshot_times=[], out_dir={str(tmp_path / "out")!r})
-run_experiment(parse_config(raw))
-print(json.dumps([m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules]))
-"""
+def scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded in a fresh interpreter once `code` has run."""
+    code += (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert json.loads(done.stdout.splitlines()[-1]) == []
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def recipe_code(name: str, scheme: dict | None = None, **fields) -> str:
+    """Code that parses configs/`name` into `cfg`, cut by `scheme` keys and top-level `fields`."""
+    return f"""
+import json
+import crossfv
+raw = json.loads({(CONFIG_DIR / name).read_text()!r})
+raw["scheme"].update({scheme or {}!r})
+raw.update({fields!r})
+cfg = crossfv.parse_config(raw)
+"""
+
+
+def test_1d_run_imports_no_scipy_lapack(tmp_path):
+    # scipy serves only the dim >= 2 BiCGStab operand: the package loads no
+    # scipy module, and neither does a 1D run, whose systems are solved in numpy.
+    assert scipy_modules_after("import crossfv") == []
+    code = recipe_code(
+        "entropy_repulsive_1d.json", {"t_end": 0.25, "dt_divisor": 8},
+        snapshot_times=[], out_dir=str(tmp_path / "out"),
+    )
+    assert scipy_modules_after(code + "crossfv.run_experiment(cfg)") == []
     assert (tmp_path / "out" / "report.csv").exists()
+
+
+def test_1d_ladder_and_kernel_check_import_no_scipy(tmp_path):
+    code = recipe_code(
+        "table1_space_1d.json", {"dt_divisor": 16}, mesh={"extents": [[0.0, 1.0]], "cells": [128]},
+        space_ladder=[16, 32, 64], threads=2, out_dir=str(tmp_path / "out"),
+    )
+    assert scipy_modules_after(code + "crossfv.run_experiment(cfg)") == []
+    assert (tmp_path / "out" / "summary.json").exists()
+    args = ["check-kernel", "--config", str(CONFIG_DIR / "boundary_layer_1d.json")]
+    code = f"from crossfv.cli import main\nassert main({args!r}) == 0"
+    assert scipy_modules_after(code) == []
+
+
+def test_2d_config_loads_scipy_sparse_when_parsed():
+    # Parsing loads the dim >= 2 solve's scipy.sparse, so a 2D run's clock never includes it.
+    assert "scipy.sparse" in scipy_modules_after(recipe_code("table3_space_2d.json"))
 
 
 def test_converge_space_monotone_errors(tmp_path):
@@ -563,6 +597,16 @@ def strengths(value):
         (dt_divisor(5, kappa=float("inf")), [], "kappa must be positive and finite"),
         (dt_divisor(5, picard_tol=float("nan")), [], "Picard tolerances"),
         (dt_divisor(5, linear_solver={"rel_tol": float("nan")}), [], "linear solver tolerances"),
+        # An infinite tolerance would stop every solve at once and scale every
+        # gate's tolerance to infinity, so no verdict could fail.
+        (dt_divisor(5, picard_tol=float("inf")), [], "scheme.picard_tol is inf"),
+        (dt_divisor(5, linear_solver={"rel_tol": float("inf")}), [],
+         "scheme.linear_solver.rel_tol is inf"),
+        # A width whose 1/eps**2 overflows (or whose eps**2 is 0) would fail in set-up.
+        ({"kernel": {"shape": "gaussian", "eps": 1e-200, "strengths": [[0.1]]}}, [],
+         "kernel.eps = 1e-200 is too small"),
+        ({"kernel": {"shape": "gaussian", "eps": 1e-300, "strengths": [[0.1]]}}, [],
+         "kernel.eps = 1e-300 is too small"),
         # An infinite dt would run no step and report the full t_end; a NaN one
         # or a NaN t_end would fail to round, and a zero divisor to divide.
         ({"scheme": {"kappa": 0.05, "dt": float("inf"), "t_end": 1.0}}, [],
@@ -599,7 +643,8 @@ def strengths(value):
         "fraction-linear-max-iter", "fraction-diag", "fraction-threads",
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
         "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
-        "nan-picard-tol", "nan-rel-tol", "inf-dt", "nan-dt", "nan-t-end", "zero-dt-divisor",
+        "nan-picard-tol", "nan-rel-tol", "inf-picard-tol", "inf-rel-tol", "tiny-eps-1e-200",
+        "tiny-eps-1e-300", "inf-dt", "nan-dt", "nan-t-end", "zero-dt-divisor",
         "nan-constant", "nan-amplitude", "nan-offset",
         "negative-normalize-to", "zero-normalize-to", "dt-and-dt-divisor",
     ],
