@@ -110,6 +110,17 @@ class ExperimentConfig:
             # A run with t_end = 0 takes no step (set-up only) and writes no snapshot.
             if n_steps and round(steps) > n_steps:
                 raise ConfigurationError(f"snapshot time {t} is after t_end {self.scheme.t_end}")
+        if self.kernel.extension is Extension.PERIODIC_WRAP:
+            # Caps the image sums of the periodized kernel at 1723 images per
+            # axis (Gaussian) or 203 (top-hat); a wider kernel is nearly flat.
+            key = "eps" if isinstance(self.kernel.shape, Gaussian) else "radius"
+            width = getattr(self.kernel.shape, key)
+            for axis, (lo, hi) in enumerate(self.mesh.extents):
+                if width > 100 * (hi - lo):
+                    raise ConfigurationError(
+                        f"periodic kernel.{key} = {width} is more than 100 times the length "
+                        f"{hi - lo} of axis {axis} (mesh.extents[{axis}])"
+                    )
         if self.mesh.dim >= 2:
             # Load the dim >= 2 solve's scipy.sparse (0.1-0.2 s) here, not in a timed run.
             import scipy.sparse

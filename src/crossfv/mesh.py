@@ -32,8 +32,10 @@ class MeshSpec:
                 f"need one (extent, cell count) pair per axis, got {extents} and {cells}"
             )
         for a, b in extents:
-            if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
-                raise ConfigurationError(f"degenerate extent [{a}, {b})")
+            if not 0 < b - a < np.inf:  # also False on an infinite end or b - a overflowing
+                raise ConfigurationError(
+                    f"mesh.extents [{a}, {b}) must have finite ends a < b and a finite b - a"
+                )
 
     @property
     def dim(self) -> int:

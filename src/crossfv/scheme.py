@@ -22,11 +22,12 @@ next step's Picard iteration starts at the extrapolated state
 2u^n - u^(n-1). One rule, `coupled`, forms every coupling potential from
 potentials alone: W*x at an iterate x (implicit) or, by linearity of W,
 W*((x + u^n)/2) = (W*x + p^n)/2 (mid-point), so a sweep convolves only its
-iterate and a step report convolves nothing. From the third sweep of a
-step on, the iterate that feeds the next potential is mixed from the last
-three sweeps (type-II Anderson, `_Anderson`), with the history dropped
-when the Picard error grows; the first two sweeps stay plain and the
-accepted state is always a raw M-matrix solve (see `advance`).
+iterate and a step report convolves nothing. One loop runs the sweeps:
+each one's map value and residual join a type-II Anderson history
+(`_Anderson`) from sweep 1 on, and the iterate that feeds the next
+potential is mixed from the last three sweeps, plain with an empty history
+(sweep 1's, or after a growing Picard error dropped it); the accepted state
+is always a raw M-matrix solve (see `advance`).
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def apply_stencil(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     `x` holds one value per cell of each system, shaped like the stencil
     without its slot axis or flattened to (..., n_cells); A x comes back in
-    the shape of `x`. The slots are added in CSR row order (diagonal, then
+    the shape of `x`. The entries are added in CSR row order (diagonal, then
     +e and -e per axis), so the product is bitwise that of the CSR matrix
     on `_csr_pattern`.
     """
@@ -344,13 +345,6 @@ def coupled(w_x: np.ndarray, p_n: np.ndarray, coupling: Coupling) -> np.ndarray:
     return 0.5 * (w_x + p_n)
 
 
-def _picard_start(state: State) -> np.ndarray:
-    """The first sweep's iterate: 2u^n - u^(n-1) with a predecessor, else u^n itself."""
-    if state.u_prev is None or state.p_prev is None:
-        return state.u
-    return 2.0 * state.u - state.u_prev
-
-
 def _gram_solve(gram: list, rhs: list) -> list | None:
     """gamma with gram @ gamma = rhs by a column-scaled Cholesky, or None if ill-conditioned.
 
@@ -400,55 +394,35 @@ class _Anderson:
     `mix(g, f, err)` takes one sweep's map value g = G(x), its residual
     f = g - x and err = ||f||_inf, and returns the next iterate g - dG gamma:
     the columns of dF and dG are the differences of consecutive residuals
-    and map values, and gamma minimizes ||f - dF gamma||_2. gamma comes from
-    the Gram matrix dF^T dF, which gains one row per sweep, and a Cholesky
-    factor of at most m x m entries (`_gram_solve`). A growing err drops the
-    whole history, so the next iterate is g itself; an ill-conditioned Gram
-    matrix drops its oldest column until the factor is accepted. The columns
-    sit in the rows of two m-row buffers, `slots` naming them oldest first.
+    and map values, at most m of each, kept flattened oldest first, and
+    gamma minimizes ||f - dF gamma||_2. Each call forms the Gram matrix
+    dF^T dF and dF^T f afresh and solves by a Cholesky factor of at most
+    m x m entries (`_gram_solve`). With no history (the first call, or after
+    a growing err dropped it) the next iterate is g itself; an
+    ill-conditioned Gram matrix drops its oldest column until the factor is
+    accepted.
     """
 
-    def __init__(self, size: int):
-        self.df = np.zeros((_ANDERSON_DEPTH, size))
-        self.dg = np.zeros((_ANDERSON_DEPTH, size))
-        self.slots: list = []
-        self.gram: list = []
+    def __init__(self):
+        self.df: list = []
+        self.dg: list = []
         self.g = self.f = None
         self.err = math.inf
-
-    def _drop_oldest(self) -> None:
-        self.slots.pop(0)
-        self.gram = [row[1:] for row in self.gram[1:]]
 
     def mix(self, g: np.ndarray, f: np.ndarray, err: float) -> np.ndarray:
         g_flat, f_flat = g.reshape(-1), f.reshape(-1)
         if err > self.err:
-            self.slots, self.gram = [], []
+            self.df, self.dg = [], []
         elif self.g is not None:
-            if len(self.slots) == _ANDERSON_DEPTH:
-                self._drop_oldest()
-            # The slots run cyclically, so the next one is free.
-            slot = (self.slots[-1] + 1) % _ANDERSON_DEPTH if self.slots else 0
-            np.subtract(f_flat, self.f, out=self.df[slot])
-            np.subtract(g_flat, self.g, out=self.dg[slot])
-            self.slots.append(slot)
-            dots = self.df.dot(self.df[slot]).tolist()
-            row = [dots[s] for s in self.slots]
-            for old, value in zip(self.gram, row):
-                old.append(value)
-            self.gram.append(row)
+            self.df = self.df[1 - _ANDERSON_DEPTH:] + [f_flat - self.f]
+            self.dg = self.dg[1 - _ANDERSON_DEPTH:] + [g_flat - self.g]
         self.g, self.f, self.err = g_flat, f_flat, err
-        if self.slots:
-            dots = self.df.dot(f_flat).tolist()
-        while self.slots:
-            gamma = _gram_solve(self.gram, [dots[s] for s in self.slots])
+        while self.df:
+            df = np.array(self.df)
+            gamma = _gram_solve(df.dot(df.T).tolist(), df.dot(f_flat).tolist())
             if gamma is not None:
-                # Unused rows are finite and weighted by exact zeros.
-                weights = [0.0] * _ANDERSON_DEPTH
-                for s, value in zip(self.slots, gamma):
-                    weights[s] = value
-                return (g_flat - np.array(weights).dot(self.dg)).reshape(g.shape)
-            self._drop_oldest()
+                return (g_flat - np.dot(gamma, self.dg)).reshape(g.shape)
+            del self.df[0], self.dg[0]
         return g
 
 
@@ -474,11 +448,12 @@ def advance(
     G(x_k), the raw solve and never a mixed iterate, so positivity and exact
     mass come from the M-matrix whatever x_k was.
 
-    Sweeps 1 and 2 are plain Picard (x_1 = G(x_0)), so a step that
+    Every sweep passes G(x_k) and its residual to one `_Anderson`, whose
+    history starts at sweep 1, and takes the next iterate from it. With
+    that history still empty, x_1 = G(x_0) is plain Picard, so a step that
     converges within two sweeps, as every 2D recipe's does, runs bit for
-    bit as without mixing and holds no extra field. After sweep 2 the
-    history starts, replaying sweep 1 from its recomputed start, and each
-    later iterate is the type-II Anderson iterate of `_Anderson`. A mixed
+    bit as without mixing; x_2 mixes one column, and each later iterate is
+    the type-II Anderson iterate of the last three sweeps. A mixed
     iterate only feeds the next potential, so s sweeps still cost s
     convolutions, the last for the new state's `p` (one more when
     `state.p` is None; `state` itself is never modified), and the step
@@ -512,14 +487,16 @@ def advance(
     mesh = state.mesh
     u_n = state.u
     p_n = kernel.potentials(u_n) if state.p is None else state.p
-    u_iter = _picard_start(state)
-    # W*x_0 by linearity of W: p^n, or 2p^n - p^(n-1) from the extrapolated start.
-    p = coupled(p_n if u_iter is u_n else 2.0 * p_n - state.p_prev, p_n, cfg.coupling)
+    if state.u_prev is None or state.p_prev is None:
+        u_iter, w_iter = u_n, p_n
+    else:  # the extrapolated start, with W*x_0 by linearity of W
+        u_iter, w_iter = 2.0 * u_n - state.u_prev, 2.0 * p_n - state.p_prev
+    p = coupled(w_iter, p_n, cfg.coupling)
     errors = []
     residual = 0.0
     clamped = 0
     linear_iters = 0
-    mixing = None
+    mixing = _Anderson()
     while True:
         system = assemble(u_n, p, cfg, mesh)
         try:
@@ -531,16 +508,13 @@ def advance(
         residual = max(residual, info.residual)
         clamped += info.clamped
         linear_iters += info.iterations
-        if mixing is None:
-            err = float(np.abs(u_new - u_iter).max())
-        else:
-            f = u_new - u_iter
-            err = float(np.abs(f).max())
+        f = u_new - u_iter
+        err = float(np.abs(f).max())
         errors.append(err)
         if err <= cfg.picard_tol:
-            # Free the last iterate before the new state's potential, as plain
-            # Picard does: in 2D a longer-lived field costs time in heap trimming.
-            del u_iter
+            # Free the last iterate and the history before the new state's potential:
+            # in 2D a longer-lived field costs time in heap trimming.
+            del u_iter, f, mixing
             break
         if len(errors) == cfg.picard_max_iter:
             raise StepFailure(
@@ -548,15 +522,7 @@ def advance(
                 f"sweeps (last error {err:.3e}, tol {cfg.picard_tol:.3e})",
                 error_history=errors,
             )
-        if mixing is not None:
-            u_iter = mixing.mix(u_new, f, err)
-        elif len(errors) == 2:
-            # The history starts now, replaying sweep 1 from its recomputed start.
-            mixing = _Anderson(u_new.size)
-            mixing.mix(u_iter, u_iter - _picard_start(state), errors[0])
-            u_iter = mixing.mix(u_new, u_new - u_iter, err)
-        else:
-            u_iter = u_new
+        u_iter = mixing.mix(u_new, f, err)
         p = coupled(kernel.potentials(u_iter), p_n, cfg.coupling)
     new_state = State(
         k=state.k + 1, u=u_new, mesh=mesh, p=kernel.potentials(u_new), u_prev=u_n, p_prev=p_n

@@ -34,6 +34,8 @@ and couples those potentials by the scheme's rule ``coupled``.
 Steps: ``plain_picard_advance`` is ``scheme.advance`` without Anderson
 mixing: every iterate is the last sweep's solve. It takes and returns what
 ``advance`` does, so a test can run it in ``run``'s place.
+``anderson_iterate`` is the type-II Anderson iterate of a sweep history by
+a dense least-squares solve, the reference for ``scheme._Anderson``.
 """
 
 import dataclasses
@@ -440,3 +442,19 @@ def plain_picard_advance(state, kernel, cfg, psd_ok=None, compute_diagnostics=Tr
     if compute_diagnostics:
         new_state.h_b = report.h_boltzmann
     return new_state, report
+
+
+def anderson_iterate(gs: list, fs: list, depth: int = 3) -> np.ndarray:
+    """g - dG gamma with gamma = argmin ||f - dF gamma||_2, from the last depth + 1 sweeps.
+
+    `gs` and `fs` hold every sweep's map value and residual, oldest first;
+    the columns of dF and dG are the differences of consecutive entries.
+    With one sweep there is no column and the iterate is g itself.
+    """
+    g, f = gs[-1].ravel(), fs[-1].ravel()
+    if len(gs) == 1:
+        return gs[-1]
+    d_g = np.diff([x.ravel() for x in gs[-depth - 1:]], axis=0).T
+    d_f = np.diff([x.ravel() for x in fs[-depth - 1:]], axis=0).T
+    gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
+    return (g - d_g @ gamma).reshape(gs[-1].shape)

@@ -34,6 +34,15 @@ def _tiny_gaussian(raw):
     raw["kernel"].update(shape="gaussian", eps=1e-200)
 
 
+def _wide_periodic_gaussian(raw):
+    raw["kernel"].pop("radius", None)
+    raw["kernel"].update(shape="gaussian", eps=1e200, extension="periodic_wrap")
+
+
+def _overflowing_extent(raw):
+    raw["mesh"]["extents"] = [[-1e308, 1e308]] * len(raw["mesh"]["extents"])
+
+
 # Each spoils a valid config in one place: the first with a Picard budget of
 # one sweep, which a step may exhaust (exit 3), the others with a key or value
 # that the config checks must reject (exit 2).
@@ -55,6 +64,8 @@ BAD_VALUES = [
     lambda raw: raw["initial"][0].update(type="constant", value=float("nan")),
     lambda raw: raw.update(snapshot_times=[raw["scheme"]["t_end"] * 2]),
     _zero_target_mass,
+    _wide_periodic_gaussian,
+    _overflowing_extent,
 ]
 
 

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    anderson_iterate,
     assembled_fluxes,
     axis_fluxes,
     bernoulli_signed,
@@ -809,6 +810,28 @@ def test_mixing_cuts_the_sweeps_of_an_attractive_run(monkeypatch):
     assert np.max(l1) <= 1e-8
 
 
+def test_mixing_matches_the_least_squares_anderson_iterate():
+    # A contracting sequence on 2 x 512 fields: sweep k's iterate and map value
+    # lie 0.6^k and 0.6^(k+1) from a fixed point along independent random
+    # directions, so the residual differences are well conditioned and the
+    # errors fall. Every iterate `mix` returns, the first (g itself) and those
+    # whose window of three columns slides, is the dense least-squares one.
+    rng = np.random.default_rng(7)
+    fixed = 1.0 + rng.random((2, 512))
+    mixing = scheme._Anderson()
+    gs, fs, errors = [], [], []
+    for k in range(10):
+        x = fixed + 0.6**k * rng.standard_normal(fixed.shape)
+        g = fixed + 0.6 ** (k + 1) * rng.standard_normal(fixed.shape)
+        gs.append(g)
+        fs.append(g - x)
+        err = float(np.abs(fs[-1]).max())
+        assert not errors or err < errors[-1]
+        errors.append(err)
+        mixed = mixing.mix(g, fs[-1], err)
+        assert np.max(np.abs(mixed - anderson_iterate(gs, fs))) <= 1e-12 * np.max(np.abs(g))
+
+
 def slow_first_step():
     """Step 1 of entropy_attractive_1d, which takes dozens of sweeps."""
     return problem(recipe("entropy_attractive_1d", 1))
@@ -850,7 +873,7 @@ def test_negative_mixed_iterates_keep_the_state_positive_and_its_mass(monkeypatc
     def negative(self, g, f, err):
         x = mix(self, g, f, err)
         calls.append(err)
-        if len(calls) == 1:  # the history's replay of sweep 1, whose iterate is not used
+        if len(calls) == 1:  # sweep 1's iterate, G(x_0) itself with an empty history
             return x
         x = x.copy()
         if not negated:
