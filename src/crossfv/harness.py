@@ -591,9 +591,7 @@ def _solve_final_state(cfg: ExperimentConfig, cells=None, dt=None) -> RunSummary
     except StepFailure as exc:
         exc.entry = {"cells": list(mesh.shape), "dt": scheme_cfg.dt}
         raise
-    summary.final_state = dataclasses.replace(
-        summary.final_state, p=None, u_prev=None, p_prev=None
-    )
+    summary.final_state = dataclasses.replace(summary.final_state, p=None, levels=())
     return summary
 
 

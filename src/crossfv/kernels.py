@@ -39,11 +39,16 @@ class Gaussian:
     def __post_init__(self):
         if not np.isfinite(self.eps) or self.eps <= 0:
             raise ConfigurationError(f"Gaussian width must be positive, got {self.eps}")
-        # The exponent divides by eps**2: below about 7.5e-155, 1/eps**2 overflows.
+        # The exponent divides by eps**2: below about 7.5e-155, 1/eps**2 overflows,
+        # and above about 1.3e154 eps**2 itself does.
         eps2 = float(self.eps) * float(self.eps)  # `**` would raise on overflow
         if eps2 == 0.0 or not math.isfinite(1.0 / eps2):
             raise ConfigurationError(
                 f"Gaussian width kernel.eps = {self.eps} is too small: 1/eps**2 is not finite"
+            )
+        if not math.isfinite(eps2):
+            raise ConfigurationError(
+                f"Gaussian width kernel.eps = {self.eps} is too large: eps**2 is not finite"
             )
 
     @property

@@ -50,7 +50,7 @@ from crossfv import (
 from crossfv.diagnostics import _rao, _verdicts, build_report
 from crossfv.kernels import TopHat, _fft_apply, _gaussian_images, _spectrum
 from crossfv.mesh import axis_difference
-from crossfv.scheme import coupled
+from crossfv.scheme import _START_ORDER, coupled, picard_start
 from crossfv.weights import eval_B_kappa
 
 
@@ -408,10 +408,7 @@ def plain_picard_advance(state, kernel, cfg, psd_ok=None, compute_diagnostics=Tr
     """One implicit Euler step by plain Picard sweeps, from the start ``advance`` takes."""
     u_n = state.u
     p_n = kernel.potentials(u_n) if state.p is None else state.p
-    if state.u_prev is None or state.p_prev is None:
-        u_iter, w_iter = u_n, p_n
-    else:
-        u_iter, w_iter = 2.0 * u_n - state.u_prev, 2.0 * p_n - state.p_prev
+    u_iter, w_iter = picard_start(u_n, p_n, state.levels)
     p = coupled(w_iter, p_n, cfg.coupling)
     errors, residual, clamped, linear_iters = [], 0.0, 0, 0
     while True:
@@ -430,9 +427,10 @@ def plain_picard_advance(state, kernel, cfg, psd_ok=None, compute_diagnostics=Tr
         if len(errors) == cfg.picard_max_iter:
             raise StepFailure("Picard budget exhausted", error_history=errors)
         p = coupled(kernel.potentials(u_iter), p_n, cfg.coupling)
+    kept = _START_ORDER if state.mesh.dim == 1 else 1
     new_state = State(
         k=state.k + 1, u=u_iter, mesh=state.mesh, p=kernel.potentials(u_iter),
-        u_prev=u_n, p_prev=p_n,
+        levels=((u_n, p_n),) + state.levels[: kept - 1],
     )
     report = build_report(
         prev=dataclasses.replace(state, p=p_n), curr=new_state, cfg=cfg, picard_errors=errors,

@@ -39,6 +39,11 @@ def _wide_periodic_gaussian(raw):
     raw["kernel"].update(shape="gaussian", eps=1e200, extension="periodic_wrap")
 
 
+def _wide_whole_space_gaussian(raw):
+    raw["kernel"].pop("radius", None)
+    raw["kernel"].update(shape="gaussian", eps=1e200, extension="whole_space")
+
+
 def _overflowing_extent(raw):
     raw["mesh"]["extents"] = [[-1e308, 1e308]] * len(raw["mesh"]["extents"])
 
@@ -65,6 +70,7 @@ BAD_VALUES = [
     lambda raw: raw.update(snapshot_times=[raw["scheme"]["t_end"] * 2]),
     _zero_target_mass,
     _wide_periodic_gaussian,
+    _wide_whole_space_gaussian,
     _overflowing_extent,
 ]
 

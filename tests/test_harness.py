@@ -607,11 +607,16 @@ def strengths(value):
          "kernel.eps = 1e-200 is too small"),
         ({"kernel": {"shape": "gaussian", "eps": 1e-300, "strengths": [[0.1]]}}, [],
          "kernel.eps = 1e-300 is too small"),
-        # A periodic kernel far wider than its torus would sum ever more images
-        # in set-up (at 1e200 np.arange overflows), and an extent whose length
-        # overflows would fail only at step 1, after report.csv was written.
+        # A width whose eps**2 overflows would fail in set-up, on either extension.
         ({"kernel": {"shape": "gaussian", "eps": 1e200, "strengths": [[0.1]]}}, [],
-         "periodic kernel.eps = 1e+200 is more than 100 times the length 1.0 of axis 0"),
+         "kernel.eps = 1e+200 is too large"),
+        ({"kernel": {"shape": "gaussian", "eps": 1e200, "strengths": [[0.1]],
+                     "extension": "whole_space"}}, [], "kernel.eps = 1e+200 is too large"),
+        # A periodic kernel far wider than its torus would sum ever more images
+        # in set-up, and an extent whose length overflows would fail only at
+        # step 1, after report.csv was written.
+        ({"kernel": {"shape": "gaussian", "eps": 1e150, "strengths": [[0.1]]}}, [],
+         "periodic kernel.eps = 1e+150 is more than 100 times the length 1.0 of axis 0"),
         ({"kernel": {"shape": "top_hat", "radius": 1e200, "strengths": [[0.1]]}}, [],
          "periodic kernel.radius = 1e+200 is more than 100 times the length 1.0 of axis 0"),
         ({"mesh": {"extents": [[0.0, 1e-300]], "cells": [16]}}, [],
@@ -655,7 +660,8 @@ def strengths(value):
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
         "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
         "nan-picard-tol", "nan-rel-tol", "inf-picard-tol", "inf-rel-tol", "tiny-eps-1e-200",
-        "tiny-eps-1e-300", "wide-eps-1e200", "wide-radius-1e200", "tiny-extent-1e-300",
+        "tiny-eps-1e-300", "wide-eps-1e200", "whole-space-eps-1e200",
+        "wide-eps-1e150", "wide-radius-1e200", "tiny-extent-1e-300",
         "overflow-extent", "inf-dt", "nan-dt", "nan-t-end", "zero-dt-divisor",
         "nan-constant", "nan-amplitude", "nan-offset",
         "negative-normalize-to", "zero-normalize-to", "dt-and-dt-divisor",

@@ -603,11 +603,11 @@ def test_steady_state_with_a_predecessor_is_accepted_after_one_sweep():
     cfg = base_cfg(dt=0.01)
     u = np.full((1,) + mesh.shape, 0.7)
     p = np.zeros_like(u)
-    state = State(k=1, u=u, mesh=mesh, p=p, u_prev=u.copy(), p_prev=p.copy())
+    state = State(k=1, u=u, mesh=mesh, p=p, levels=((u.copy(), p.copy()),))
     new_state, report = advance(state, kernel, cfg)
     assert report.picard_iters == 1
     assert report.picard_errors[0] <= cfg.picard_tol
-    assert new_state.u_prev is state.u and new_state.p_prev is state.p  # not copies
+    assert new_state.levels[0][0] is state.u and new_state.levels[0][1] is state.p  # not copies
 
 
 def two_species_problem(mesh):
@@ -625,11 +625,9 @@ def test_predictor_start_reaches_the_same_step(coupling):
     kernel, u0 = two_species_problem(mesh)
     cfg = base_cfg(dt=0.02, kappa=0.05, coupling=coupling)
     state, _ = advance(State(k=0, u=u0, mesh=mesh), kernel, cfg)
-    assert state.u_prev is u0
+    assert state.levels[0][0] is u0
     predicted, with_pred = advance(state, kernel, cfg)
-    plain, without_pred = advance(
-        dataclasses.replace(state, u_prev=None, p_prev=None), kernel, cfg
-    )
+    plain, without_pred = advance(dataclasses.replace(state, levels=()), kernel, cfg)
     assert with_pred.picard_errors[0] < 0.1 * without_pred.picard_errors[0]
     assert np.max(np.abs(predicted.u - plain.u)) <= 10 * cfg.picard_tol
     assert np.all(predicted.u > 0)
@@ -656,6 +654,30 @@ def test_first_sweep_after_a_predecessor_convolves_nothing(coupling, monkeypatch
     assert len(calls) == report.picard_iters  # one per later sweep, one for the new p
 
 
+def test_picard_start_extrapolates_a_cubic_in_time():
+    # Per-cell cubics in time on 2 species x 32 cells, positive on [0, 4 dt]:
+    # from u^n and three stored levels the start is u^(n+1) up to round-off,
+    # and its potential, formed from the stored ones, is W applied to it.
+    mesh = mesh_1d(32)
+    kernel, _ = two_species_problem(mesh)
+    coefficients = np.random.default_rng(5).random((4, 2, 32))
+    dt = 0.1
+    u = [sum(c * (k * dt) ** j for j, c in enumerate(coefficients)) + 0.5 for k in range(5)]
+    p = [kernel.potentials(v) for v in u]
+    levels = tuple((u[k], p[k]) for k in (2, 1, 0))
+    x, w = scheme.picard_start(u[3], p[3], levels)
+    assert np.max(np.abs(x - u[4])) <= 1e-13 * np.max(u[4])
+    assert np.max(np.abs(w - kernel.potentials(x))) <= 1e-13 * np.max(np.abs(w))
+    # Fewer levels: u^n itself, the linear start bitwise as written, the quadratic.
+    x, w = scheme.picard_start(u[3], p[3], ())
+    assert x is u[3] and w is p[3]
+    x, w = scheme.picard_start(u[3], p[3], levels[:1])
+    assert np.array_equal(x, 2.0 * u[3] - u[2]) and np.array_equal(w, 2.0 * p[3] - p[2])
+    x, w = scheme.picard_start(u[3], p[3], levels[:2])
+    assert np.array_equal(x, 3.0 * u[3] - 3.0 * u[2] + u[1])
+    assert np.array_equal(w, 3.0 * p[3] - 3.0 * p[2] + p[1])
+
+
 @pytest.mark.parametrize(
     "mode,ladder", [("converge_space", [4, 8, 16]), ("converge_time", [1, 2, 4])]
 )
@@ -666,7 +688,7 @@ def test_every_ladder_entry_starts_without_a_predecessor(mode, ladder, monkeypat
     advance_ = scheme.advance
 
     def recorded(state, *args, **kwargs):
-        starts.append((state.k, state.u_prev is None))
+        starts.append((state.k, not state.levels))
         return advance_(state, *args, **kwargs)
 
     monkeypatch.setattr(scheme, "advance", recorded)
@@ -787,6 +809,25 @@ def test_steps_within_two_sweeps_are_bitwise_plain_picard():
         assert report.picard_errors == plain_report.picard_errors
         assert np.array_equal(new_state.u, plain_state.u)
         assert np.array_equal(new_state.p, plain_state.p)
+
+
+def test_table1_steps_after_the_third_take_one_sweep():
+    # The first 64 steps of table1_space_1d on 64 cells. From step 4 on the
+    # start extrapolates three stored levels, and its O(dt^4) error is below
+    # picard_tol, so the first sweep is accepted; from the linear start, with
+    # an O(dt^2) error, every step after the first takes two.
+    state, kernel, cfg = problem(on_mesh(recipe("table1_space_1d", 64), (64,)))
+    summary = run(cfg, state, kernel, diagnostics_every=0)
+    assert [r.picard_iters for r in summary.reports] == [3, 2, 2] + [1] * 61
+    assert len(summary.final_state.levels) == scheme._START_ORDER
+
+
+def test_2d_states_keep_one_level():
+    # For dim >= 2 the start stays linear, so a state stores only its predecessor.
+    state, kernel, cfg = problem(on_mesh(recipe("table3_space_2d", 3), (16, 16)))
+    for _ in range(3):
+        state, _ = advance(state, kernel, cfg, compute_diagnostics=False)
+    assert len(state.levels) == 1
 
 
 def test_mixing_cuts_the_sweeps_of_an_attractive_run(monkeypatch):
