@@ -43,7 +43,7 @@ from .scheme import (
     run,
     solve_linear,
 )
-from .weights import WeightKind, eval_B, eval_B_kappa
+from .weights import WeightKind, eval_B_kappa
 from .diagnostics import StepReport, entropy_boltzmann, productions
 
 __all__ = [name for name in dir() if not name.startswith("_")]

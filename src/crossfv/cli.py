@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point: `run` runs a config in its own mode, `check-kernel` checks its kernel.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on step or solver
 failures (partial outputs are left in the output directory).
@@ -12,13 +12,7 @@ import logging
 import sys
 
 from .errors import ConfigurationError, CrossFVError, StepFailure
-from .harness import _MODES, _build_problem, _kernel_reports, parse_config, run_experiment
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="path to the JSON experiment config")
-    sub.add_argument("--out", default=None, help="output directory (overrides config)")
-    sub.add_argument("--threads", type=int, default=None, help="ladder-entry parallelism")
+from .harness import _build_problem, _kernel_reports, parse_config, run_experiment
 
 
 def main(argv=None) -> int:
@@ -27,23 +21,20 @@ def main(argv=None) -> int:
         description="Finite-volume solver for nonlocal cross-diffusion population systems",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command in (*(mode.replace("_", "-") for mode in _MODES), "check-kernel"):
-        sub = subparsers.add_parser(command)
-        _add_common(sub)
+    run_parser = subparsers.add_parser("run", help="run the experiment in the config's mode")
+    kernel_parser = subparsers.add_parser("check-kernel", help="report the kernel's PSD and c*")
+    for sub in (run_parser, kernel_parser):
+        sub.add_argument("--config", required=True, help="path to the JSON experiment config")
+    run_parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    run_parser.add_argument("--threads", type=int, default=None, help="ladder-entry parallelism")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
     try:
         cfg = parse_config(args.config)
-        overrides = {}
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.command != "check-kernel":
-            overrides["mode"] = args.command.replace("-", "_")
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        if args.command == "run":
+            overrides = {"out_dir": args.out, "threads": args.threads}
+            cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

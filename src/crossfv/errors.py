@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the solver, and the config integer rule."""
+"""Exception taxonomy shared across the solver, and the config rules for numbers."""
 
 from __future__ import annotations
 
@@ -20,6 +20,13 @@ def _integer(value, key: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigurationError(f"{key} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """A real number as a float, else an error naming `key`; a string or a boolean fails."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{key} must be a real number, got {value!r}")
+    return float(value)
 
 
 class UsageError(CrossFVError):

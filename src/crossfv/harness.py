@@ -1,11 +1,11 @@
 """Experiment harness: configs, convergence ladders, error norms, CSV output.
 
 A single JSON document describes one experiment (mesh, kernel, scheme,
-initial data, mode and refinement ladders). Modes:
+initial data, mode and refinement ladder); its mode alone picks what runs:
 
   run            -- time-step once, emit per-step reports and snapshots
-  converge_space -- mesh ladder at fixed dt against the configured mesh
-  converge_time  -- dt ladder on a fixed mesh against the configured dt
+  converge_space -- `ladder` of cell counts at fixed dt against the configured mesh
+  converge_time  -- `ladder` of divisors of t_end on a fixed mesh against the configured dt
 
 All floating-point output is printed with 17 significant digits and every
 reduction runs in a fixed order, so outputs are bit-identical across runs.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .errors import ConfigurationError, StepFailure, UsageError, _integer
+from .errors import ConfigurationError, StepFailure, UsageError, _integer, _real
 from .initial import DATUM_TYPES, parse_descriptor, project_initial
 from .kernels import (
     DiscreteKernel,
@@ -49,7 +49,16 @@ from .scheme import (
 logger = logging.getLogger(__name__)
 
 _TINY = float(np.finfo(float).tiny)
-_MODES = ("run", "converge_space", "converge_time")
+_LADDERS = ("converge_space", "converge_time")
+_MODES = ("run", *_LADDERS)
+# The keys that only some modes read: the modes that read each, and the values
+# the other modes run with (None: unset). There a key may hold only those values.
+_MODE_KEYS = {
+    "ladder": (_LADDERS, ([],)),
+    "threads": (_LADDERS, (1,)),
+    "snapshot_times": (("run",), ([],)),
+    "diagnostics_every": (("run",), (None, 0)),
+}
 
 
 @dataclass
@@ -60,8 +69,8 @@ class ExperimentConfig:
     initial: list
     name: str = "experiment"
     mode: str = "run"
-    space_ladder: list = dataclasses.field(default_factory=list)
-    dt_ladder_divisors: list = dataclasses.field(default_factory=list)
+    # Cell counts in converge_space, divisors of t_end in converge_time.
+    ladder: list = dataclasses.field(default_factory=list)
     snapshot_times: list = dataclasses.field(default_factory=list)
     # None (unset): a full report every step in run mode, none in the ladders.
     diagnostics_every: int | None = None
@@ -70,11 +79,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.name = str(self.name)
-        self.space_ladder = [_integer(m, "space_ladder") for m in self.space_ladder]
-        self.dt_ladder_divisors = [
-            _integer(d, "dt_ladder_divisors") for d in self.dt_ladder_divisors
-        ]
-        self.snapshot_times = list(self.snapshot_times)
+        self.ladder = [_integer(entry, "ladder") for entry in self.ladder]
+        self.snapshot_times = [_real(t, "snapshot_times") for t in self.snapshot_times]
         if self.diagnostics_every is not None:
             every = _integer(self.diagnostics_every, "diagnostics_every", minimum=0)
             self.diagnostics_every = every
@@ -86,11 +92,9 @@ class ExperimentConfig:
                 "need exactly one initial datum per species "
                 f"({self.kernel.n_species}), got {len(self.initial)}"
             )
-        if self.mode != "run":
-            # The ladders write no per-step output.
-            for key in ("snapshot_times", "diagnostics_every"):
-                if getattr(self, key):
-                    raise ConfigurationError(f"{key} is not used in mode {self.mode}")
+        for key, (modes, unread) in _MODE_KEYS.items():
+            if self.mode not in modes and getattr(self, key) not in unread:
+                raise ConfigurationError(f"{key} is not used in mode {self.mode}")
         if self.mode == "converge_space":
             cells = self.mesh.cells_per_axis
             if len(set(cells)) != 1:
@@ -98,9 +102,9 @@ class ExperimentConfig:
                     f"converge_space refines to mesh.cells, which must be the same on every "
                     f"axis, got {list(cells)}"
                 )
-            _check_ladder("space_ladder", self.space_ladder, cells[0])
+            _check_ladder(self.ladder, cells[0])
         if self.mode == "converge_time":
-            _check_ladder("dt_ladder_divisors", self.dt_ladder_divisors, self.scheme.n_steps)
+            _check_ladder(self.ladder, self.scheme.n_steps)
         dt, n_steps = self.scheme.dt, self.scheme.n_steps
         for t in self.snapshot_times:
             steps = t / dt
@@ -133,7 +137,7 @@ class ExperimentConfig:
         return self.diagnostics_every
 
 
-def _check_ladder(name: str, ladder: list, reference: int) -> None:
+def _check_ladder(ladder: list, reference: int) -> None:
     """Reject a ladder the rate fit cannot use.
 
     The fit needs at least 3 entries, strictly increasing and below the
@@ -144,7 +148,7 @@ def _check_ladder(name: str, ladder: list, reference: int) -> None:
     values = list(ladder) + [reference]
     if len(values) < 4 or any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigurationError(
-            f"{name} needs at least 3 strictly increasing entries below the reference "
+            f"ladder needs at least 3 strictly increasing entries below the reference "
             f"{reference}, got {ladder}"
         )
     for coarse in ladder:
@@ -188,7 +192,7 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
 
-_SHAPES = {"gaussian": (Gaussian, "eps"), "top_hat": (TopHat, "radius")}
+_SHAPES = {"gaussian": Gaussian, "top_hat": TopHat}
 
 
 def _keys(cls) -> set:
@@ -211,10 +215,11 @@ def _parse_kernel(raw: dict) -> KernelSpec:
     name = raw["shape"]
     if name not in _SHAPES:
         raise ConfigurationError(f"unknown kernel shape {name!r}")
-    shape, parameter = _SHAPES[name]
-    _reject_unknown(raw, _keys(KernelSpec) | {parameter}, "kernel.")
-    fields = {key: value for key, value in raw.items() if key != parameter}
-    return KernelSpec(**{**fields, "shape": shape(float(raw[parameter]))})
+    shape = _SHAPES[name]
+    _reject_unknown(raw, _keys(KernelSpec) | _keys(shape), "kernel.")
+    params = {key: raw[key] for key in _keys(shape) & raw.keys()}
+    fields = {key: value for key, value in raw.items() if key not in params}
+    return KernelSpec(**{**fields, "shape": shape(**params)})
 
 
 def _parse_scheme(raw: dict) -> SchemeConfig:
@@ -225,7 +230,8 @@ def _parse_scheme(raw: dict) -> SchemeConfig:
     if ("dt" in fields) == (divisor is not None):
         raise ConfigurationError("scheme needs exactly one of 'dt' and 'dt_divisor'")
     if divisor is not None:
-        fields["dt"] = float(raw["t_end"]) / _integer(divisor, "scheme.dt_divisor", minimum=1)
+        t_end = _real(raw["t_end"], "scheme.t_end")
+        fields["dt"] = t_end / _integer(divisor, "scheme.dt_divisor", minimum=1)
     linear = fields.pop("linear_solver", {})
     _reject_unknown(linear, _keys(LinearSolverConfig), "scheme.linear_solver.")
     return SchemeConfig(**fields, linear=LinearSolverConfig(**linear))
@@ -642,14 +648,13 @@ def _converge(cfg: ExperimentConfig) -> ExperimentResult:
     in ladder order, its cells, dt, failed step and histories go to
     `summary.json` before the StepFailure propagates.
     """
+    ladder = cfg.ladder
     if cfg.mode == "converge_space":
         kind = "space"
-        ladder = cfg.space_ladder
         jobs = [{"cells": cells} for cells in ladder]
         scale = cfg.mesh.extents[0][1] - cfg.mesh.extents[0][0]
     else:
         kind = "time"
-        ladder = cfg.dt_ladder_divisors
         scale = cfg.scheme.t_end
         jobs = [{"dt": scale / div} for div in ladder]
     try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _real
 from .mesh import Mesh
 
 
@@ -69,7 +69,8 @@ def _store_finite(datum, *names: str) -> None:
         value = getattr(datum, name)
         if name == "normalize_to" and value is None:
             continue
-        stored = tuple(map(float, value)) if name in ("lo", "hi") else float(value)
+        bounds = name in ("lo", "hi")
+        stored = tuple(_real(v, name) for v in value) if bounds else _real(value, name)
         if not np.all(np.isfinite(stored)):
             raise ConfigurationError(f"initial datum {name} must be finite, got {value}")
         if name == "normalize_to" and stored <= 0:

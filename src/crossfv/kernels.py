@@ -26,7 +26,7 @@ import numpy as np
 import numpy.fft
 import numpy.polynomial
 
-from .errors import ConfigurationError, UsageError, _integer
+from .errors import ConfigurationError, UsageError, _integer, _real
 from .mesh import Mesh
 
 
@@ -35,8 +35,12 @@ class Gaussian:
     """exp(-|z|^2 / (2 eps^2)) / sqrt(2 pi eps^2), scaled by the pair strength."""
 
     eps: float
+    quadrature_order: int = 4  # Gauss-Legendre nodes per cell and axis of the cell-pair averages
 
     def __post_init__(self):
+        object.__setattr__(self, "eps", _real(self.eps, "kernel.eps"))
+        order = _integer(self.quadrature_order, "kernel.quadrature_order", minimum=1)
+        object.__setattr__(self, "quadrature_order", order)
         if not np.isfinite(self.eps) or self.eps <= 0:
             raise ConfigurationError(f"Gaussian width must be positive, got {self.eps}")
         # The exponent divides by eps**2: below about 7.5e-155, 1/eps**2 overflows,
@@ -63,6 +67,7 @@ class TopHat:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", _real(self.radius, "kernel.radius"))
         if not np.isfinite(self.radius) or self.radius <= 0:
             raise ConfigurationError(f"top-hat radius must be positive, got {self.radius}")
 
@@ -88,10 +93,12 @@ class KernelSpec:
     strengths: np.ndarray
     shape: Gaussian | TopHat
     extension: Extension = Extension.PERIODIC_WRAP
-    quadrature_order: int = 4
 
     def __post_init__(self):
-        self.strengths = np.asarray(self.strengths, dtype=float)
+        entries = np.asarray(self.strengths, dtype=object)
+        self.strengths = np.array(
+            [_real(v, "kernel.strengths") for v in entries.flat], dtype=float
+        ).reshape(entries.shape)
         if self.strengths.ndim != 2 or self.strengths.shape[0] != self.strengths.shape[1]:
             raise ConfigurationError("strength matrix must be square")
         if not np.all(np.isfinite(self.strengths)):
@@ -99,9 +106,6 @@ class KernelSpec:
         if not np.array_equal(self.strengths, self.strengths.T):
             raise ConfigurationError("strength matrix must be exactly symmetric")
         self.extension = Extension(self.extension)
-        self.quadrature_order = _integer(
-            self.quadrature_order, "kernel.quadrature_order", minimum=1
-        )
         if not isinstance(self.shape, (Gaussian, TopHat)):
             raise ConfigurationError(f"kernel shape must be Gaussian or TopHat, got {self.shape!r}")
 
@@ -170,19 +174,16 @@ def discretize(spec: KernelSpec, mesh: Mesh) -> DiscreteKernel:
     The double cell average of each built-in shape factorizes per axis, so
     a 1D averaged factor is computed per axis, at all nonnegative offsets in
     one array pass (exact piecewise integration for top-hat shapes,
-    Gauss-Legendre of the configured order otherwise), and the offset table
-    is their outer product. Factors are mirrored from nonnegative offsets,
-    making the discrete symmetry exact.
+    Gauss-Legendre of the Gaussian's ``quadrature_order`` otherwise), and the
+    offset table is their outer product. Factors are mirrored from
+    nonnegative offsets, making the discrete symmetry exact.
     """
-    factors = tuple(
-        _axis_table(spec.shape, mesh, axis, spec.extension, spec.quadrature_order)
-        for axis in range(mesh.dim)
-    )
+    factors = tuple(_axis_table(spec.shape, mesh, ax, spec.extension) for ax in range(mesh.dim))
     table = spec.shape.normalization * functools.reduce(np.multiply.outer, factors)
     return DiscreteKernel(mesh=mesh, spec=spec, table=table, axis_factors=factors)
 
 
-def _axis_table(shape, mesh: Mesh, axis: int, extension: Extension, q: int) -> np.ndarray:
+def _axis_table(shape, mesh: Mesh, axis: int, extension: Extension) -> np.ndarray:
     """Per-axis averaged factor over nonnegative offsets, mirrored."""
     m = mesh.shape[axis]
     dx = mesh.dx[axis]
@@ -200,10 +201,10 @@ def _axis_table(shape, mesh: Mesh, axis: int, extension: Extension, q: int) -> n
             images = np.zeros(1)
         pos = sum(_tophat_axis_average(centers + img, shape.radius, dx) for img in images)
     else:
-        nodes, wts = np.polynomial.legendre.leggauss(q)
+        nodes, wts = np.polynomial.legendre.leggauss(shape.quadrature_order)
         nodes = 0.5 * dx * (nodes + 1.0)
         wts = 0.5 * dx * wts
-        # One row of q * q node differences per offset.
+        # One row of (quadrature order)^2 node differences per offset.
         z = np.add.outer(centers, np.subtract.outer(nodes, nodes).ravel())
         if periodic:
             z -= length * np.round(z / length)

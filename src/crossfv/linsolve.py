@@ -19,6 +19,8 @@ import numpy as np
 from .errors import SolverFailure
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+# The iteration budget of one BiCGStab solve, far above what any recipe's solves take.
+BICGSTAB_MAX_ITER = 10_000
 
 
 def _chain_pcr(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -110,13 +112,14 @@ def cyclic_tridiagonal(
     return np.concatenate((x0, y + x0 * w), axis=-1) / scale
 
 
-def bicgstab(matrix, diag, rhs: np.ndarray, x0: np.ndarray | None, atol: float, max_iter: int):
+def bicgstab(matrix, diag, rhs: np.ndarray, x0: np.ndarray | None, atol: float):
     """Jacobi-scaled BiCGStab; stops when ||rhs - A x||_inf <= atol.
 
     `matrix` is A, read only through `matrix @ x`; `diag` is its diagonal,
     which the caller holds already (slot 0 of a stencil). Returns
     (solution, residual_history). Raises SolverFailure when the
-    iteration budget runs out or the recurrence breaks down irrecoverably.
+    iteration budget `BICGSTAB_MAX_ITER` runs out or the recurrence
+    breaks down irrecoverably.
     Where max |rhs| lies outside [2^-256, 2^256], the inner products can
     underflow or overflow (densities of order 1e-159 stall it), so the
     iteration runs on rhs, x0 and atol scaled by the power of two that
@@ -149,7 +152,7 @@ def bicgstab(matrix, diag, rhs: np.ndarray, x0: np.ndarray | None, atol: float, 
     rho = alpha = omega = 1.0
     v = np.zeros_like(r)
     p = np.zeros_like(r)
-    for _ in range(max_iter):
+    for _ in range(BICGSTAB_MAX_ITER):
         rho_new = float(r0 @ r)
         if rho_new == 0.0 or omega == 0.0:
             # Breakdown: restart from the current iterate.
@@ -190,7 +193,7 @@ def bicgstab(matrix, diag, rhs: np.ndarray, x0: np.ndarray | None, atol: float, 
             p[:] = 0.0
     _, history = unscaled(x, history)
     raise SolverFailure(
-        f"BiCGStab exhausted {max_iter} iterations (residual {history[-1]:.3e}, "
+        f"BiCGStab exhausted {BICGSTAB_MAX_ITER} iterations (residual {history[-1]:.3e}, "
         f"target {atol / scale:.3e})",
         residual_history=history,
     )

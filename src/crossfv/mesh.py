@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,8 @@ class MeshSpec:
     cells_per_axis: tuple
 
     def __post_init__(self):
-        extents = tuple((float(a), float(b)) for a, b in self.extents)
+        key = "mesh.extents"
+        extents = tuple((_real(a, key), _real(b, key)) for a, b in self.extents)
         cells = tuple(_integer(m, "mesh.cells", minimum=2) for m in self.cells_per_axis)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells_per_axis", cells)

@@ -45,7 +45,7 @@ import numpy as np
 from . import linsolve
 from .errors import (
     ConfigurationError, CrossFVError, NumericalStateError, SolverFailure, StepFailure, UsageError,
-    _integer,
+    _integer, _real,
 )
 from .kernels import DiscreteKernel
 from .mesh import Mesh, axis_difference, roll
@@ -68,11 +68,9 @@ class Coupling(str, enum.Enum):
 @dataclass
 class LinearSolverConfig:
     rel_tol: float = 1e-12
-    max_iter: int = 10000
 
     def __post_init__(self):
-        self.rel_tol = float(self.rel_tol)
-        self.max_iter = _integer(self.max_iter, "scheme.linear_solver.max_iter", minimum=1)
+        self.rel_tol = _real(self.rel_tol, "scheme.linear_solver.rel_tol")
         if not 0 < self.rel_tol < np.inf:
             raise ConfigurationError(
                 "linear solver tolerances must be positive and finite: "
@@ -92,8 +90,8 @@ class SchemeConfig:
     linear: LinearSolverConfig = dc_field(default_factory=LinearSolverConfig)
 
     def __post_init__(self):
-        self.kappa, self.dt, self.t_end = float(self.kappa), float(self.dt), float(self.t_end)
-        self.picard_tol = float(self.picard_tol)
+        for key in ("kappa", "dt", "t_end", "picard_tol"):
+            setattr(self, key, _real(getattr(self, key), f"scheme.{key}"))
         self.picard_max_iter = _integer(self.picard_max_iter, "scheme.picard_max_iter", minimum=1)
         self.weight = WeightKind(self.weight)
         self.coupling = Coupling(self.coupling)
@@ -318,8 +316,7 @@ def solve_linear(
             matrix = sp.csr_matrix((stencil.ravel(), indices, indptr), shape=(n, n))
             start = None if x0 is None else x0[i]
             x[i], history = linsolve.bicgstab(
-                matrix, stencil[..., 0].ravel(), system.rhs[i], start, target[i],
-                cfg.linear.max_iter,
+                matrix, stencil[..., 0].ravel(), system.rhs[i], start, target[i]
             )
             residual[i], iterations[i] = history[-1], len(history) - 1
     floor = -1e-15 * np.maximum(x.max(axis=-1), _TINY)

@@ -35,14 +35,6 @@ _ALPHA = {
 }
 
 
-def eval_B(kind: WeightKind, s):
-    """Evaluate the weight at s >= 0. Returns values in (0, 1]."""
-    arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise UsageError("weight argument must be finite and nonnegative")
-    return eval_B_kappa(kind, 1.0, arr)
-
-
 def eval_B_kappa(kind: WeightKind, kappa: float, s):
     """Scaled weight kappa * B(s / kappa) at s >= 0, in closed form with x = s / kappa.
 

@@ -11,6 +11,10 @@ as one dense matrix; they are the brute-force references for the
 potentials and for ``check_psd``. ``axis_table`` builds a kernel's per-axis
 factor one offset at a time, the reference for ``discretize``.
 
+Weights: ``eval_B`` evaluates a weight B(s) itself on finite s >= 0, as the
+package's scaled weight kappa * B(s / kappa) at kappa = 1; the weight
+properties are stated for B.
+
 Flux: ``bernoulli_signed`` is B(s) = s/(e^s - 1) on the whole real line,
 so the flux can be checked against its two-sided Scharfetter-Gummel form.
 ``edges``, ``neighbor`` and ``edge_cells`` walk the mesh edge by
@@ -163,7 +167,7 @@ def dense_form_eigenvalues(kernel) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (big + big.T))
 
 
-def axis_table(shape, mesh, axis, extension, q) -> np.ndarray:
+def axis_table(shape, mesh, axis, extension) -> np.ndarray:
     """Oracle for the axis factors of ``discretize``, one offset at a time."""
     m = mesh.shape[axis]
     dx = mesh.dx[axis]
@@ -181,7 +185,7 @@ def axis_table(shape, mesh, axis, extension, q) -> np.ndarray:
             return sum(_tophat_average(c + img, shape.radius, dx) for img in images)
 
     else:
-        nodes, wts = np.polynomial.legendre.leggauss(q)
+        nodes, wts = np.polynomial.legendre.leggauss(shape.quadrature_order)
         nodes = 0.5 * dx * (nodes + 1.0)
         wts = 0.5 * dx * wts
         diff = np.subtract.outer(nodes, nodes)
@@ -224,6 +228,14 @@ def _tophat_average(c: float, radius: float, dx: float) -> float:
         return dx * t - np.sign(t) * t * t / 2.0
 
     return (tent_antideriv(hi) - tent_antideriv(lo)) / (dx * dx)
+
+
+def eval_B(kind, s):
+    """The weight B(s) at finite s >= 0, in (0, 1]: the scaled weight at kappa = 1."""
+    arr = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise UsageError("weight argument must be finite and nonnegative")
+    return eval_B_kappa(kind, 1.0, arr)
 
 
 def bernoulli_signed(s):
@@ -368,7 +380,7 @@ def bicgstab_polished(matrix, rhs, cfg):
     when BiCGStab's iterate is nonnegative and meets the target.
     """
     target = cfg.linear.rel_tol * max(float(np.abs(rhs).max()), float(np.finfo(float).tiny))
-    x, _ = linsolve.bicgstab(matrix, matrix.diagonal(), rhs, None, target, cfg.linear.max_iter)
+    x, _ = linsolve.bicgstab(matrix, matrix.diagonal(), rhs, None, target)
     return csr_polish(matrix, rhs, x, target)
 
 

@@ -3,8 +3,10 @@
 Every accepted input, run or refined by either ladder, must run or fail
 cleanly: exit 0 (success), 2 (bad config) or 3 (step failure), never a
 traceback, with a strict-JSON `summary.json` after every success and after
-every step failure, which names the failed step; a config spoiled by a value the checks must
-reject exits 2. A successful run keeps the structure the scheme
+every step failure, which names the failed step. A config spoiled by a value the checks must
+reject exits 2, and so does one that gives a key its mode or kernel shape
+does not read (`ladder` or `threads` 2 in a run, `quadrature_order` on a
+top-hat). A successful run keeps the structure the scheme
 guarantees: positive densities, conserved masses and the Boltzmann entropy
 inequality, which holds unconditionally. Its summary counts the Picard
 sweeps of its step rows, none of them over the budget.
@@ -48,6 +50,19 @@ def _overflowing_extent(raw):
     raw["mesh"]["extents"] = [[-1e308, 1e308]] * len(raw["mesh"]["extents"])
 
 
+def _string_extents(raw):
+    raw["mesh"]["extents"] = [[str(a), str(b)] for a, b in raw["mesh"]["extents"]]
+
+
+def _string_strengths(raw):
+    raw["kernel"]["strengths"] = [[str(v) for v in row] for row in raw["kernel"]["strengths"]]
+
+
+def _string_offset(raw):
+    dim = len(raw["mesh"]["extents"])
+    raw["initial"][0] = {"type": "trig", "modes": [1] * dim, "offset": "1.0"}
+
+
 # Each spoils a valid config in one place: the first with a Picard budget of
 # one sweep, which a step may exhaust (exit 3), the others with a key or value
 # that the config checks must reject (exit 2).
@@ -72,6 +87,12 @@ BAD_VALUES = [
     _wide_periodic_gaussian,
     _wide_whole_space_gaussian,
     _overflowing_extent,
+    lambda raw: raw["scheme"].update(kappa=str(raw["scheme"]["kappa"])),
+    lambda raw: raw["scheme"].update(kappa=True),
+    lambda raw: raw["scheme"].update(picard_tol=True),
+    _string_extents,
+    _string_strengths,
+    _string_offset,
 ]
 
 
@@ -105,11 +126,11 @@ def initial_datum(draw, extents):
 
 @st.composite
 def configs(draw):
-    command = draw(st.sampled_from(["run", "converge-space", "converge-time"]))
+    mode = draw(st.sampled_from(["run", "converge_space", "converge_time"]))
     dim = draw(st.integers(1, 2))
     length = draw(st.sampled_from([1.0, 2.0, 8.0]))
     extents = [[-length / 2, length / 2]] * dim
-    if command == "converge-space":
+    if mode == "converge_space":
         cells = [16] * dim
     else:
         cells = draw(st.lists(st.integers(2, 16), min_size=dim, max_size=dim))
@@ -124,9 +145,12 @@ def configs(draw):
     kernel["eps" if kernel["shape"] == "gaussian" else "radius"] = draw(
         st.floats(0.05, 1.0)
     ) * length
+    # Drawn on both shapes; a top-hat reads no quadrature order.
+    if draw(st.sampled_from([False, False, False, True])):
+        kernel["quadrature_order"] = draw(st.integers(1, 8))
     dt = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
     # t_end = 0 runs the set-up only; a time ladder's reference takes 8 steps.
-    steps = draw(st.sampled_from([0, 8]) if command == "converge-time" else st.integers(0, 4))
+    steps = draw(st.sampled_from([0, 8]) if mode == "converge_time" else st.integers(0, 4))
     raw = {
         "name": "fuzz",
         "mesh": {"extents": extents, "cells": cells},
@@ -139,20 +163,28 @@ def configs(draw):
             "coupling": draw(st.sampled_from(["implicit", "midpoint"])),
         },
         "initial": [draw(initial_datum(extents)) for _ in range(n)],
+        "mode": mode,
     }
-    if command == "converge-space":
-        raw["space_ladder"] = [2, 4, 8]
-    if command == "converge-time":
-        raw["dt_ladder_divisors"] = [1, 2, 4]
+    # A ladder in cells or in divisors of t_end; a run reads none and is given one now and then.
+    if mode != "run" or draw(st.sampled_from([False] * 7 + [True])):
+        raw["ladder"] = [1, 2, 4] if mode == "converge_time" else [2, 4, 8]
+    # Only the ladders read threads; a run takes only its implicit 1.
+    threads = draw(st.sampled_from([None, None, 1, 2]))
+    if threads is not None:
+        raw["threads"] = threads
     # Unset, it is 1 in run mode and 0 in the ladders, which take no other value.
-    every = draw(st.sampled_from([None, 0, 1, 2] if command == "run" else [None, 0]))
+    every = draw(st.sampled_from([None, 0, 1, 2] if mode == "run" else [None, 0]))
     if every is not None:
         raw["diagnostics_every"] = every
+    unread = (
+        "quadrature_order" in kernel and kernel["shape"] == "top_hat"
+        or mode == "run" and ("ladder" in raw or threads == 2)
+    )
     spoiler = None
     if draw(st.sampled_from([False, False, False, True])):
         spoiler = draw(st.sampled_from(BAD_VALUES))
         spoiler(raw)
-    return command, raw, spoiler
+    return raw, spoiler, unread
 
 
 def _not_json(token):
@@ -162,17 +194,17 @@ def _not_json(token):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=configs())
 def test_drawn_configs_run_or_fail_cleanly(case):
-    command, raw, spoiler = case
+    raw, spoiler, unread = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli_main([command, "--config", str(path), "--out", str(out)])
+            code = cli_main(["run", "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        if spoiler not in (None, BAD_VALUES[0]):
+        if unread or spoiler not in (None, BAD_VALUES[0]):
             assert code == 2, err.getvalue()
         if code in (0, 3):
             summary = json.loads((out / "summary.json").read_text(), parse_constant=_not_json)
@@ -181,7 +213,7 @@ def test_drawn_configs_run_or_fail_cleanly(case):
         if code == 0:
             assert summary["min_density"] > 0
             assert summary["max_mass_drift"] <= 1e-10
-        if code == 0 and command == "run":
+        if code == 0 and raw["mode"] == "run":
             report = (out / "report.csv").read_text()
             assert "boltzmann:FAIL" not in report
             # The summary's sweep counts are those of the step rows, each within budget.

@@ -21,7 +21,6 @@ from crossfv import (
     ExperimentConfig,
     Gaussian,
     KernelSpec,
-    LinearSolverConfig,
     MeshSpec,
     NumericalStateError,
     StepFailure,
@@ -37,7 +36,7 @@ from crossfv import (
     project_initial,
     run_experiment,
 )
-from crossfv import harness, scheme
+from crossfv import harness, linsolve, scheme
 from crossfv.cli import main as cli_main
 from crossfv.harness import ErrorTable
 
@@ -398,7 +397,7 @@ def test_1d_run_imports_no_scipy_lapack(tmp_path):
 def test_1d_ladder_and_kernel_check_import_no_scipy(tmp_path):
     code = recipe_code(
         "table1_space_1d.json", {"dt_divisor": 16}, mesh={"extents": [[0.0, 1.0]], "cells": [128]},
-        space_ladder=[16, 32, 64], threads=2, out_dir=str(tmp_path / "out"),
+        ladder=[16, 32, 64], threads=2, out_dir=str(tmp_path / "out"),
     )
     assert scipy_modules_after(code + "crossfv.run_experiment(cfg)") == []
     assert (tmp_path / "out" / "summary.json").exists()
@@ -414,7 +413,7 @@ def test_2d_config_loads_scipy_sparse_when_parsed():
 
 def test_converge_space_monotone_errors(tmp_path):
     cfg = parse_config(
-        tiny_config(tmp_path, mode="converge_space", space_ladder=[8, 16, 32], **mesh_cells(128))
+        tiny_config(tmp_path, **space_ladder([8, 16, 32], 128))
     )
     result = run_experiment(cfg)
     l1 = result.error_table.l1[:, 0]
@@ -424,16 +423,14 @@ def test_converge_space_monotone_errors(tmp_path):
 def test_converge_space_rejects_bad_ladder(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(
-            tiny_config(tmp_path, mode="converge_space", space_ladder=[12], **mesh_cells(128))
+            tiny_config(tmp_path, **space_ladder([12], 128))
         )
 
 
 def test_threaded_ladder_matches_serial(tmp_path):
     import dataclasses
 
-    base = parse_config(
-        tiny_config(tmp_path, mode="converge_space", space_ladder=[8, 16, 32], **mesh_cells(64))
-    )
+    base = parse_config(tiny_config(tmp_path, **space_ladder([8, 16, 32], 64)))
     serial = run_experiment(base)
     threaded = run_experiment(dataclasses.replace(base, threads=3))
     assert np.array_equal(serial.error_table.l1, threaded.error_table.l1)
@@ -458,7 +455,7 @@ def test_failed_threaded_ladder_starts_no_further_entry(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_solve_final_state", entry)
     path = tiny_config(tmp_path, **space_ladder([4, 8, 16], 32))
     out = tmp_path / "out"
-    args = ["converge-space", "--config", str(path), "--out", str(out), "--threads", "2"]
+    args = ["run", "--config", str(path), "--out", str(out), "--threads", "2"]
     assert cli_main(args) == 3
     assert sorted(started) == [4, 8]
     summary = json.loads((out / "summary.json").read_text())
@@ -483,9 +480,7 @@ def test_run_summary_counts_the_picard_sweeps(tmp_path):
     empty = dataclasses.replace(cfg, scheme=dataclasses.replace(cfg.scheme, t_end=0.0))
     counts = run_experiment(empty).summary["picard_sweeps"]
     assert counts == {"total": 0, "p50": 0.0, "p90": 0.0, "max": 0}
-    ladder = parse_config(
-        tiny_config(tmp_path, mode="converge_space", space_ladder=[4, 8, 16], **mesh_cells(32))
-    )
+    ladder = parse_config(tiny_config(tmp_path, **space_ladder([4, 8, 16], 32)))
     assert "picard_sweeps" not in run_experiment(ladder).summary
 
 
@@ -519,24 +514,23 @@ def test_step_budget_rejected_before_any_output(tmp_path, capsys):
     assert "step budget exceeded" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
     # The time ladder's reference step is the configured one, checked the same way.
-    path = tiny_config(
-        tmp_path, mode="converge_time", dt_ladder_divisors=[4, 8, 16], **dt_divisor(2**24)
-    )
-    assert cli_main(["converge-time", "--config", str(path), "--out", str(out)]) == 2
+    path = tiny_config(tmp_path, **time_ladder([4, 8, 16], 2**24))
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert "step budget exceeded" in capsys.readouterr().err
     assert not out.exists()
 
 
 LADDER = "at least 3 strictly increasing entries"
 INTEGER = "must be an integer"
+REAL = "must be a real number"
 
 
 def space_ladder(cells, reference):
-    return {"mode": "converge_space", "space_ladder": cells, **mesh_cells(reference)}
+    return {"mode": "converge_space", "ladder": cells, **mesh_cells(reference)}
 
 
 def time_ladder(divisors, reference):
-    return {"mode": "converge_time", "dt_ladder_divisors": divisors, **dt_divisor(reference)}
+    return {"mode": "converge_time", "ladder": divisors, **dt_divisor(reference)}
 
 
 def trig(modes):
@@ -560,6 +554,10 @@ def strengths(value):
         ({**time_ladder([1, 2, 4], 8), "diagnostics_every": 2}, [], "diagnostics_every"),
         ({"threads": 0}, [], "threads"),
         ({}, ["--threads", "0"], "threads"),
+        # Keys that a run does not read, on the config or the command line.
+        ({"threads": 4}, [], "threads is not used in mode run"),
+        ({}, ["--threads", "3"], "threads is not used in mode run"),
+        ({"ladder": [8, 16, 32]}, [], "ladder is not used in mode run"),
         ({**space_ladder([4, 8, 16], 32), "snapshot_times": [0.05]}, [], "snapshot_times"),
         ({**time_ladder([1, 2, 4], 8), "snapshot_times": [0.05]}, [], "snapshot_times"),
         # Ladders the rate fit cannot use: too short, repeated, coarsening or
@@ -576,21 +574,33 @@ def strengths(value):
         ({**space_ladder([2, 4, 8], 16), "reference_cells": 16}, [], "'reference_cells'"),
         ({**time_ladder([1, 2, 4], 8), "reference_dt_divisor": 8}, [], "'reference_dt_divisor'"),
         ({"mode": "entropy"}, [], "unknown mode 'entropy'"),
+        ({"space_ladder": [8, 16, 32]}, [], "'space_ladder'"),
+        ({"dt_ladder_divisors": [1, 2, 4]}, [], "'dt_ladder_divisors'"),
+        ({**space_ladder([4, 8, 16], 32), "dt_ladder_divisors": [1, 2, 4]}, [],
+         "'dt_ladder_divisors'"),
+        (dt_divisor(5, linear_solver={"max_iter": 1}), [], "'scheme.linear_solver.max_iter'"),
+        # The quadrature order is the Gaussian's; a top-hat is averaged exactly.
+        ({"kernel": {"shape": "top_hat", "radius": 0.25, "strengths": [[0.1]],
+                     "quadrature_order": 8}}, [], "'kernel.quadrature_order'"),
         # Values that would run changed: a fraction truncated, NaN called asymmetric.
         (mesh_cells(16.7), [], f"mesh.cells {INTEGER}"),
         (dt_divisor(5.5), [], f"scheme.dt_divisor {INTEGER}"),
         (dt_divisor(5, picard_max_iter=2.5), [], f"scheme.picard_max_iter {INTEGER}"),
-        (
-            dt_divisor(5, linear_solver={"max_iter": 9.9}), [],
-            f"scheme.linear_solver.max_iter {INTEGER}",
-        ),
         ({"diagnostics_every": 1.5}, [], f"diagnostics_every {INTEGER}"),
         ({"threads": 1.5}, [], f"threads {INTEGER}"),
-        (space_ladder([2, 4.5, 8], 16), [], f"space_ladder {INTEGER}"),
-        (time_ladder([1, 2, 4.5], 8), [], f"dt_ladder_divisors {INTEGER}"),
+        (space_ladder([2, 4.5, 8], 16), [], f"ladder {INTEGER}"),
+        (time_ladder([1, 2, 4.5], 8), [], f"ladder {INTEGER}"),
         (trig([1.5]), [], f"initial[0].modes {INTEGER}"),
         ({"kernel": {**strengths(0.1)["kernel"], "quadrature_order": 4.5}}, [],
          f"kernel.quadrature_order {INTEGER}"),
+        # Strings and booleans are not real numbers, in any float field.
+        (dt_divisor(5, kappa="0.05"), [], f"scheme.kappa {REAL}"),
+        (dt_divisor(5, kappa=True), [], f"scheme.kappa {REAL}"),
+        (dt_divisor(5, picard_tol=True), [], f"scheme.picard_tol {REAL}"),
+        (strengths("0.1"), [], f"kernel.strengths {REAL}"),
+        ({"mesh": {"extents": [["0", "1"]], "cells": [16]}}, [], f"mesh.extents {REAL}"),
+        ({"initial": [{"type": "trig", "modes": [1], "offset": "1.0"}]}, [],
+         f"initial[0].offset {REAL}"),
         (strengths(float("nan")), [], "strengths must be finite"),
         (strengths(float("inf")), [], "strengths must be finite"),
         (dt_divisor(5, kappa=float("nan")), [], "kappa must be positive and finite"),
@@ -651,14 +661,19 @@ def strengths(value):
     ids=[
         "snap-zero", "snap-negative", "snap-off-grid", "snap-huge", "snap-late", "diag",
         "diag-converge-space", "diag-converge-time",
-        "threads", "--threads", "snap-converge-space", "snap-converge-time",
+        "threads", "--threads", "threads-in-run", "--threads-in-run", "ladder-in-run",
+        "snap-converge-space", "snap-converge-time",
         "ladder-short", "ladder-repeated", "ladder-decreasing", "dt-ladder-repeated",
         "ladder-at-reference", "dt-ladder-at-reference", "ladder-non-uniform-mesh",
         "old-reference-cells", "old-reference-dt-divisor", "old-entropy-mode",
+        "old-space-ladder", "old-dt-ladder", "old-dt-ladder-in-space-ladder",
+        "old-linear-max-iter", "top-hat-quadrature-order",
         "fraction-cells", "fraction-dt-divisor", "fraction-picard-max-iter",
-        "fraction-linear-max-iter", "fraction-diag", "fraction-threads",
+        "fraction-diag", "fraction-threads",
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
-        "fraction-quadrature-order", "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
+        "fraction-quadrature-order", "string-kappa", "bool-kappa", "bool-picard-tol",
+        "string-strength", "string-extent", "string-offset",
+        "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
         "nan-picard-tol", "nan-rel-tol", "inf-picard-tol", "inf-rel-tol", "tiny-eps-1e-200",
         "tiny-eps-1e-300", "wide-eps-1e200", "whole-space-eps-1e200",
         "wide-eps-1e150", "wide-radius-1e200", "tiny-extent-1e-300",
@@ -672,10 +687,7 @@ def test_ignored_values_rejected_before_any_output(tmp_path, capsys, overrides, 
     # changed, or fail only after output was written.
     out = tmp_path / "out"
     path = tiny_config(tmp_path, **overrides)
-    command = {"converge_space": "converge-space", "converge_time": "converge-time"}.get(
-        overrides.get("mode"), "run"
-    )
-    assert cli_main([command, "--config", str(path), "--out", str(out)] + args) == 2
+    assert cli_main(["run", "--config", str(path), "--out", str(out)] + args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -695,23 +707,15 @@ def experiment(**fields):
 # whose valid value is the second entry; the third is the key its errors name.
 INTEGER_FIELDS = [
     (lambda v: MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(v,)), 16, "mesh.cells"),
-    (
-        lambda v: KernelSpec(strengths=[[0.1]], shape=Gaussian(eps=0.5), quadrature_order=v),
-        4, "kernel.quadrature_order",
-    ),
+    (lambda v: Gaussian(eps=0.5, quadrature_order=v), 4, "kernel.quadrature_order"),
     (
         lambda v: SchemeConfig(kappa=0.05, dt=0.01, t_end=0.05, picard_max_iter=v),
         200, "scheme.picard_max_iter",
     ),
-    (lambda v: LinearSolverConfig(max_iter=v), 100, "scheme.linear_solver.max_iter"),
     (lambda v: TrigIC(modes=(v,)), 1, "modes"),
     (lambda v: experiment(diagnostics_every=v), 1, "diagnostics_every"),
-    (lambda v: experiment(threads=v), 2, "threads"),
-    (lambda v: experiment(mode="converge_space", space_ladder=[2, 4, v]), 8, "space_ladder"),
-    (
-        lambda v: experiment(mode="converge_time", dt_ladder_divisors=[1, 2, v]),
-        4, "dt_ladder_divisors",
-    ),
+    (lambda v: experiment(mode="converge_space", ladder=[2, 4, 8], threads=v), 2, "threads"),
+    (lambda v: experiment(mode="converge_space", ladder=[2, 4, v]), 8, "ladder"),
 ]
 
 
@@ -739,12 +743,20 @@ def test_config_dataclasses_own_their_defaults_and_value_rules():
         TrigIC(modes=(1,), offset=1.0, normalize_to=0.0)
     trig = TrigIC(modes=[1], offset=1)
     assert (trig.fn, trig.modes, trig.offset) == ("sin", (1,), 1.0)
+    # Float fields take real numbers only: not a string, not a boolean.
+    for bad in ("0.05", True):
+        with pytest.raises(ConfigurationError, match="scheme.kappa must be a real number"):
+            SchemeConfig(kappa=bad, dt=0.01, t_end=0.05)
+        with pytest.raises(ConfigurationError, match="kernel.eps must be a real number"):
+            Gaussian(eps=bad)
+        with pytest.raises(ConfigurationError, match="scale must be a real number"):
+            TrigIC(modes=(1,), scale=bad)
     assert BoxIC(lo=[0], hi=[1]).lo == (0.0,)
     # diagnostics_every: unset means every step in run mode and none in the
     # ladders; a nonzero value in a ladder is an error.
     assert experiment().report_every == 1
     assert experiment(diagnostics_every=0).report_every == 0
-    ladder = {"mode": "converge_time", "dt_ladder_divisors": [1, 2, 4]}
+    ladder = {"mode": "converge_time", "ladder": [1, 2, 4]}
     assert experiment(**ladder).report_every == 0
     assert experiment(**ladder, diagnostics_every=0).report_every == 0
     with pytest.raises(ConfigurationError, match="diagnostics_every is not used"):
@@ -765,11 +777,11 @@ def test_summary_json_writes_undefined_values_as_null(tmp_path):
     # order can be fitted. The summary keeps NaN in memory and writes null.
     out = tmp_path / "ladder"
     path = tiny_config(
-        tmp_path, mode="converge_space", space_ladder=[2, 4, 8], **mesh_cells(16),
+        tmp_path, **space_ladder([2, 4, 8], 16),
         scheme={"kappa": 0.05, "dt": 0.01, "t_end": 0.0},
         initial=[{"type": "constant", "value": 1.0}],
     )
-    assert cli_main(["converge-space", "--config", str(path), "--out", str(out)]) == 0
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert strict_json(out / "summary.json")["orders_l1"] == [None]
     result = run_experiment(parse_config(path))
     assert np.isnan(result.summary["orders_l1"][0])
@@ -814,9 +826,7 @@ def test_whole_space_psd_verdict_beyond_dense_size(tmp_path):
 def test_error_table_csv_layout(tmp_path):
     import dataclasses
 
-    cfg = parse_config(
-        tiny_config(tmp_path, mode="converge_space", space_ladder=[8, 16, 32], **mesh_cells(64))
-    )
+    cfg = parse_config(tiny_config(tmp_path, **space_ladder([8, 16, 32], 64)))
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "conv"))
     run_experiment(cfg)
     lines = (tmp_path / "conv" / "space_errors.csv").read_text().splitlines()
@@ -896,8 +906,7 @@ def test_failed_ladder_entry_writes_its_summary(tmp_path, ladder, entry, threads
     ladder = {**ladder, "scheme": {**ladder["scheme"], "picard_max_iter": 1}}
     path = tiny_config(tmp_path, **ladder)
     out = tmp_path / "out"
-    command = ladder["mode"].replace("_", "-")
-    args = [command, "--config", str(path), "--out", str(out), "--threads", str(threads)]
+    args = ["run", "--config", str(path), "--out", str(out), "--threads", str(threads)]
     assert cli_main(args) == 3
     assert [p.name for p in out.iterdir()] == ["summary.json"]
     summary = json.loads((out / "summary.json").read_text())
@@ -958,16 +967,9 @@ def test_2d_densities_far_below_the_normal_range_converge(tmp_path):
 
 
 def test_solver_failure_reports_failed_step(tmp_path):
-    import dataclasses
-
     path = tiny_config(
         tmp_path,
-        scheme={
-            "kappa": 0.05,
-            "dt": 0.01,
-            "t_end": 0.05,
-            "linear_solver": {"max_iter": 1, "rel_tol": 1e-30},
-        },
+        scheme={"kappa": 0.05, "dt": 0.01, "t_end": 0.05, "linear_solver": {"rel_tol": 1e-30}},
     )
     cfg = dataclasses.replace(parse_config(path), out_dir=str(tmp_path / "api_out"))
     with pytest.raises(StepFailure) as excinfo:
@@ -975,14 +977,34 @@ def test_solver_failure_reports_failed_step(tmp_path):
     assert excinfo.value.step_index == 1
     summary = json.loads((tmp_path / "api_out" / "summary.json").read_text())
     assert summary["failed_step"] == 1
-    # The first solve of the first sweep failed: no Picard error yet, and
-    # the residual history of the one BiCGStab iteration allowed.
+    # The first solve of the first sweep failed: no Picard error yet, and the
+    # 1D direct solve's residuals, before and after its one correction step.
     assert summary["failure_picard_errors"] == []
     assert len(summary["failure_linear_residuals"]) == 2
     assert summary["failure_linear_residuals"] == excinfo.value.residual_history
     code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "cli_out")])
     assert code == 3
     assert json.loads((tmp_path / "cli_out" / "summary.json").read_text())["failed_step"] == 1
+
+
+def test_exhausted_bicgstab_reports_failed_step(tmp_path, capsys, monkeypatch):
+    # dim >= 2: a one-iteration budget cannot reach a tolerance of 1e-30, so
+    # BiCGStab's first solve exhausts it and the step fails.
+    monkeypatch.setattr(linsolve, "BICGSTAB_MAX_ITER", 1)
+    path = tiny_config(
+        tmp_path, **mesh_cells(8, 8),
+        scheme={"kappa": 0.05, "dt": 0.01, "t_end": 0.05, "linear_solver": {"rel_tol": 1e-30}},
+        initial=[{"type": "trig", "fn": "sin", "modes": [1, 1], "scale": 0.2, "offset": 1.0}],
+    )
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "BiCGStab exhausted 1 iterations" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failed_step"] == 1
+    assert summary["failure_picard_errors"] == []
+    # The residual history: the initial residual and that of the one iteration.
+    residuals = summary["failure_linear_residuals"]
+    assert len(residuals) == 2 and all(r > 0 for r in residuals)
 
 
 def test_cli_check_kernel(tmp_path, capsys):
@@ -993,17 +1015,32 @@ def test_cli_check_kernel(tmp_path, capsys):
     assert "c*" in out
 
 
-def test_cli_mode_override(tmp_path):
-    path = tiny_config(tmp_path, mode="run", space_ladder=[8, 16, 32], **mesh_cells(64))
-    code = cli_main(
-        ["converge-space", "--config", str(path), "--out", str(tmp_path / "ov")]
-    )
-    assert code == 0
-    assert (tmp_path / "ov" / "space_errors.csv").exists()
-    # Snapshots of a run config are rejected once the command makes it a ladder.
-    path = tiny_config(
-        tmp_path, mode="run", space_ladder=[8, 16, 32], snapshot_times=[0.05], **mesh_cells(64)
-    )
-    out = tmp_path / "ov2"
-    assert cli_main(["converge-space", "--config", str(path), "--out", str(out)]) == 2
-    assert not out.exists()
+@pytest.mark.parametrize(
+    "args",
+    [["check-kernel", "--out", "out"], ["check-kernel", "--threads", "2"],
+     ["converge-space"], ["converge-time"]],
+    ids=["check-kernel-out", "check-kernel-threads", "converge-space", "converge-time"],
+)
+def test_cli_rejects_flags_and_commands_that_do_nothing(tmp_path, capsys, args):
+    # A kernel check writes nothing and runs no ladder; the mode is the config's.
+    path = tiny_config(tmp_path, **space_ladder([8, 16, 32], 64))
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(args + ["--config", str(path)])
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "ladder,table",
+    [(space_ladder([8, 16, 32], 64), "space_errors.csv"),
+     (time_ladder([1, 2, 4], 8), "time_errors.csv")],
+    ids=["space", "time"],
+)
+def test_cli_run_follows_the_config_mode(tmp_path, capsys, ladder, table):
+    # The config's mode alone picks the experiment: `run` runs a ladder config's ladder.
+    path = tiny_config(tmp_path, **ladder)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert f"mode={ladder['mode']} ok" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == sorted([table, "summary.json"])

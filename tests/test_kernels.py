@@ -37,10 +37,14 @@ def unit_mesh(m, d=1):
     return build_mesh(MeshSpec(extents=((0.0, 1.0),) * len(cells), cells_per_axis=cells))
 
 
-def single_species(shape, strength=1.0, extension=Extension.PERIODIC_WRAP, q=4):
-    return KernelSpec(
-        strengths=np.array([[strength]]), shape=shape, extension=extension, quadrature_order=q
-    )
+def single_species(shape, strength=1.0, extension=Extension.PERIODIC_WRAP):
+    return KernelSpec(strengths=np.array([[strength]]), shape=shape, extension=extension)
+
+
+def shape_id(shape) -> str:
+    """The shape's class and width, e.g. Gaussian(eps=0.3), as a test id."""
+    width = "eps" if isinstance(shape, Gaussian) else "radius"
+    return f"{type(shape).__name__}({width}={getattr(shape, width)})"
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +101,8 @@ def test_gaussian_quadrature_matches_higher_order():
         mesh = build_mesh(MeshSpec(extents=((-2.0, 2.0),), cells_per_axis=(m,)))
         tables = []
         for q in (4, 8):
-            spec = single_species(Gaussian(eps=0.7), extension=Extension.WHOLE_SPACE, q=q)
+            shape = Gaussian(eps=0.7, quadrature_order=q)
+            spec = single_species(shape, extension=Extension.WHOLE_SPACE)
             tables.append(pair_table(discretize(spec, mesh), 0, 0))
         return np.max(np.abs(tables[0] - tables[1])) / np.max(np.abs(tables[1]))
 
@@ -113,7 +118,8 @@ def test_gaussian_cell_average_is_second_order_in_h():
     def max_midpoint_error(m):
         mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(m,)))
         kernel = discretize(
-            single_species(Gaussian(eps=eps), extension=Extension.WHOLE_SPACE, q=6), mesh
+            single_species(Gaussian(eps=eps, quadrature_order=6), extension=Extension.WHOLE_SPACE),
+            mesh,
         )
         table = pair_table(kernel, 0, 0)
         deltas = np.arange(-(m - 1), m) * mesh.dx[0]
@@ -137,7 +143,7 @@ def test_row_sum_matches_torus_integral_gaussian():
     # that quadrature resolves the profile.
     eps, alpha = 0.06, 1.5
     mesh = unit_mesh(64)
-    kernel = discretize(single_species(Gaussian(eps=eps), strength=alpha, q=8), mesh)
+    kernel = discretize(single_species(Gaussian(eps=eps, quadrature_order=8), strength=alpha), mesh)
     row = mesh.cell_measure * pair_table(kernel, 0, 0).sum()
     assert row == pytest.approx(alpha, rel=1e-11)
 
@@ -166,7 +172,7 @@ def test_axis_factors_bitwise_equal_per_offset_oracle(m):
     for shape in (Gaussian(eps=0.3), Gaussian(eps=0.02), TopHat(radius=0.3), TopHat(radius=2.5)):
         for extension in Extension:
             factor = discretize(single_species(shape, extension=extension), mesh).axis_factors[0]
-            expected = axis_table(shape, mesh, 0, extension, 4)
+            expected = axis_table(shape, mesh, 0, extension)
             assert factor.tobytes() == expected.tobytes(), (shape, extension)
 
 
@@ -284,7 +290,7 @@ MIXED_STRENGTHS = {
 
 @pytest.mark.parametrize("n", sorted(MIXED_STRENGTHS))
 @pytest.mark.parametrize("extension", list(Extension))
-@pytest.mark.parametrize("shape", [Gaussian(eps=0.3), TopHat(radius=0.2)], ids=repr)
+@pytest.mark.parametrize("shape", [Gaussian(eps=0.3), TopHat(radius=0.2)], ids=shape_id)
 @pytest.mark.parametrize("cells", [(24,), (500,), (12, 10)], ids=str)
 def test_potentials_match_direct_oracle(cells, shape, extension, n):
     # The bound is relative to the oracle on |alpha| and |fields|, the
@@ -447,7 +453,7 @@ STRENGTHS = {
 
 
 @pytest.mark.parametrize("extension", list(Extension))
-@pytest.mark.parametrize("shape", [Gaussian(eps=0.4), TopHat(radius=0.3)], ids=repr)
+@pytest.mark.parametrize("shape", [Gaussian(eps=0.4), TopHat(radius=0.3)], ids=shape_id)
 @pytest.mark.parametrize("cells", [(24,), (8, 6)], ids=str)
 def test_check_psd_matches_dense_oracle(extension, shape, cells):
     # The Kronecker factorization gives the dense form's verdict and its

@@ -410,7 +410,7 @@ def test_random_m_matrix_matches_dense_oracle():
     diag = off.sum(axis=0) + rng.random(n) + 0.5  # strict column dominance
     a = np.diag(diag) - off
     rhs = rng.random(n) + 0.1
-    cfg = base_cfg(linear=LinearSolverConfig(rel_tol=1e-12, max_iter=20000))
+    cfg = base_cfg(linear=LinearSolverConfig(rel_tol=1e-12))
     sol, _ = bicgstab_polished(sp.csr_matrix(a), rhs, cfg)
     expected = np.linalg.solve(a, rhs)
     assert np.max(np.abs(sol - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
@@ -699,7 +699,7 @@ def test_every_ladder_entry_starts_without_a_predecessor(mode, ladder, monkeypat
         "scheme": {"kappa": 0.05, "t_end": 0.04, "dt_divisor": 8},
         "initial": [{"type": "trig", "fn": "sin", "modes": [1], "scale": 0.2, "offset": 1.0}],
         "mode": mode,
-        "space_ladder" if mode == "converge_space" else "dt_ladder_divisors": ladder,
+        "ladder": ladder,
     })
     run_experiment(cfg)
     first = [no_predecessor for k, no_predecessor in starts if k == 0]
@@ -777,7 +777,7 @@ def recipe(name, steps):
         raw = json.load(handle)
     dt = raw["scheme"]["t_end"] / raw["scheme"].pop("dt_divisor")
     raw["scheme"].update(dt=dt, t_end=steps * dt)
-    raw.update(mode="run", snapshot_times=[], space_ladder=[], diagnostics_every=1)
+    raw.update(mode="run", snapshot_times=[], ladder=[], diagnostics_every=1)
     return parse_config(raw)
 
 

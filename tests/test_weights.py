@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bernoulli_signed
+from oracles import bernoulli_signed, eval_B
 
-from crossfv import ConfigurationError, UsageError, WeightKind, eval_B, eval_B_kappa
+from crossfv import ConfigurationError, UsageError, WeightKind, eval_B_kappa
 
 ALL_KINDS = list(WeightKind)
 
