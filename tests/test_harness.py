@@ -715,11 +715,25 @@ INTEGER_FIELDS = [
     (lambda v: TrigIC(modes=(v,)), 1, "modes"),
     (lambda v: experiment(diagnostics_every=v), 1, "diagnostics_every"),
     (lambda v: experiment(mode="converge_space", ladder=[2, 4, 8], threads=v), 2, "threads"),
-    (lambda v: experiment(mode="converge_space", ladder=[2, 4, v]), 8, "ladder"),
+]
+
+# The one `ladder` key counts cells in converge_space and divisors of t_end in
+# converge_time; each mode gets its own case, named by the ladder it runs.
+LADDER_FIELDS = [
+    pytest.param(
+        lambda v: experiment(mode="converge_space", ladder=[2, 4, v]), 8, "ladder",
+        id="space_ladder",
+    ),
+    pytest.param(
+        lambda v: experiment(mode="converge_time", ladder=[1, 2, v]), 4, "ladder",
+        id="dt_ladder_divisors",
+    ),
 ]
 
 
-@pytest.mark.parametrize("build,valid,key", INTEGER_FIELDS, ids=[f[2] for f in INTEGER_FIELDS])
+@pytest.mark.parametrize(
+    "build,valid,key", [pytest.param(*f, id=f[2]) for f in INTEGER_FIELDS] + LADDER_FIELDS
+)
 def test_config_dataclasses_enforce_the_parser_rules(build, valid, key):
     # The dataclasses, not the JSON parser, own the integer rule: code that
     # builds them gets the same errors, naming the same key paths.
