@@ -29,6 +29,20 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _list(value, key: str):
+    """A list or tuple, else an error naming `key`; a string is not iterated as one."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _string(value, key: str) -> str:
+    """A string, else an error naming `key`."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 class UsageError(CrossFVError):
     """An operation was called with arguments outside its contract."""
 

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .errors import ConfigurationError, StepFailure, UsageError, _integer, _real
+from .errors import (
+    ConfigurationError,
+    StepFailure,
+    UsageError,
+    _integer,
+    _list,
+    _real,
+    _string,
+)
 from .initial import DATUM_TYPES, parse_descriptor, project_initial
 from .kernels import (
     DiscreteKernel,
@@ -78,9 +86,13 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        self.name = str(self.name)
-        self.ladder = [_integer(entry, "ladder") for entry in self.ladder]
-        self.snapshot_times = [_real(t, "snapshot_times") for t in self.snapshot_times]
+        _string(self.name, "name")
+        if self.out_dir is not None:
+            _string(self.out_dir, "out_dir")
+        self.ladder = [_integer(entry, "ladder") for entry in _list(self.ladder, "ladder")]
+        self.snapshot_times = [
+            _real(t, "snapshot_times") for t in _list(self.snapshot_times, "snapshot_times")
+        ]
         if self.diagnostics_every is not None:
             every = _integer(self.diagnostics_every, "diagnostics_every", minimum=0)
             self.diagnostics_every = every

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _real
+from .errors import ConfigurationError, _integer, _list, _real
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,9 @@ class MeshSpec:
 
     def __post_init__(self):
         key = "mesh.extents"
-        extents = tuple((_real(a, key), _real(b, key)) for a, b in self.extents)
-        cells = tuple(_integer(m, "mesh.cells", minimum=2) for m in self.cells_per_axis)
+        extents = tuple((_real(a, key), _real(b, key)) for a, b in _list(self.extents, key))
+        cells = _list(self.cells_per_axis, "mesh.cells")
+        cells = tuple(_integer(m, "mesh.cells", minimum=2) for m in cells)
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "cells_per_axis", cells)
         if len(extents) < 1 or len(extents) != len(cells):

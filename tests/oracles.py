@@ -8,8 +8,10 @@ the package's FFT path. The pair (i, j) table is ``alpha_ij * kernel.table``;
 ``direct_potentials``, ``kernel_value``, ``quadratic_form`` and
 ``dense_form_eigenvalues`` read it pair by pair, cell pair by cell pair or
 as one dense matrix; they are the brute-force references for the
-potentials and for ``check_psd``. ``axis_table`` builds a kernel's per-axis
-factor one offset at a time, the reference for ``discretize``.
+potentials and for ``check_psd``; ``toeplitz_eigenvalues`` is the dense
+eigensolve of one whole-space factor matrix. ``axis_table`` builds a
+kernel's per-axis factor one offset at a time, the reference for
+``discretize``.
 
 Weights: ``eval_B`` evaluates a weight B(s) itself on finite s >= 0, as the
 package's scaled weight kappa * B(s / kappa) at kappa = 1; the weight
@@ -165,6 +167,13 @@ def dense_form_eigenvalues(kernel) -> np.ndarray:
             ] = pair_table(kernel, i, j)[diff]
     big *= mesh.cell_measure
     return np.linalg.eigvalsh(0.5 * (big + big.T))
+
+
+def toeplitz_eigenvalues(factor) -> np.ndarray:
+    """Eigenvalues of the dense M x M matrix T_ij = factor[i - j + M - 1], ascending."""
+    m = (factor.size + 1) // 2
+    idx = np.arange(m)
+    return np.linalg.eigvalsh(factor[np.subtract.outer(idx, idx) + (m - 1)])
 
 
 def axis_table(shape, mesh, axis, extension) -> np.ndarray:

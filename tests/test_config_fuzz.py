@@ -93,6 +93,9 @@ BAD_VALUES = [
     _string_extents,
     _string_strengths,
     _string_offset,
+    lambda raw: raw["mesh"].update(cells=str(raw["mesh"]["cells"][0])),
+    lambda raw: raw.update(name=[raw["name"]]),
+    lambda raw: raw.update(out_dir=5),
 ]
 
 

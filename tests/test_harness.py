@@ -601,6 +601,13 @@ def strengths(value):
         ({"mesh": {"extents": [["0", "1"]], "cells": [16]}}, [], f"mesh.extents {REAL}"),
         ({"initial": [{"type": "trig", "modes": [1], "offset": "1.0"}]}, [],
          f"initial[0].offset {REAL}"),
+        # A string is not a list of numbers, nor a number a name or a path.
+        ({"mesh": {"extents": [[0.0, 1.0]], "cells": "16"}}, [], "mesh.cells must be a list"),
+        ({"mesh": {"extents": "01", "cells": [16]}}, [], "mesh.extents must be a list"),
+        ({**space_ladder([4, 8, 16], 32), "ladder": "8"}, [], "ladder must be a list"),
+        ({"snapshot_times": "0.05"}, [], "snapshot_times must be a list"),
+        ({"name": ["a"]}, [], "name must be a string, got ['a']"),
+        ({"out_dir": 5}, [], "out_dir must be a string, got 5"),
         (strengths(float("nan")), [], "strengths must be finite"),
         (strengths(float("inf")), [], "strengths must be finite"),
         (dt_divisor(5, kappa=float("nan")), [], "kappa must be positive and finite"),
@@ -673,6 +680,8 @@ def strengths(value):
         "fraction-space-ladder", "fraction-dt-ladder", "fraction-modes",
         "fraction-quadrature-order", "string-kappa", "bool-kappa", "bool-picard-tol",
         "string-strength", "string-extent", "string-offset",
+        "string-cells", "string-extents", "string-ladder", "string-snapshot-times",
+        "list-name", "int-out-dir",
         "nan-strength", "inf-strength", "nan-kappa", "inf-kappa",
         "nan-picard-tol", "nan-rel-tol", "inf-picard-tol", "inf-rel-tol", "tiny-eps-1e-200",
         "tiny-eps-1e-300", "wide-eps-1e200", "whole-space-eps-1e200",
@@ -766,6 +775,12 @@ def test_config_dataclasses_own_their_defaults_and_value_rules():
         with pytest.raises(ConfigurationError, match="scale must be a real number"):
             TrigIC(modes=(1,), scale=bad)
     assert BoxIC(lo=[0], hi=[1]).lo == (0.0,)
+    with pytest.raises(ConfigurationError, match="mesh.cells must be a list"):
+        MeshSpec(extents=((0.0, 1.0),), cells_per_axis="16")
+    with pytest.raises(ConfigurationError, match="name must be a string"):
+        experiment(name=["a"])
+    with pytest.raises(ConfigurationError, match="out_dir must be a string"):
+        experiment(out_dir=5)
     # diagnostics_every: unset means every step in run mode and none in the
     # ladders; a nonzero value in a ladder is an error.
     assert experiment().report_every == 1

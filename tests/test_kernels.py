@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
@@ -9,6 +11,7 @@ from oracles import (
     kernel_value,
     pair_table,
     quadratic_form,
+    toeplitz_eigenvalues,
 )
 from scipy.special import erf
 
@@ -25,7 +28,7 @@ from crossfv import (
     discretize,
     small_mass_threshold,
 )
-from crossfv.kernels import sup_norm
+from crossfv.kernels import _toeplitz_eigvalsh, sup_norm
 from crossfv.scheme import Coupling, coupled
 
 RNG = np.random.default_rng(1234)
@@ -454,10 +457,11 @@ STRENGTHS = {
 
 @pytest.mark.parametrize("extension", list(Extension))
 @pytest.mark.parametrize("shape", [Gaussian(eps=0.4), TopHat(radius=0.3)], ids=shape_id)
-@pytest.mark.parametrize("cells", [(24,), (8, 6)], ids=str)
+@pytest.mark.parametrize("cells", [(24,), (25,), (8, 6), (7, 5)], ids=str)
 def test_check_psd_matches_dense_oracle(extension, shape, cells):
     # The Kronecker factorization gives the dense form's verdict and its
-    # smallest eigenvalue (of m(K) W, on both extensions) to round-off.
+    # smallest eigenvalue (of m(K) W, on both extensions) to round-off; odd
+    # cell counts reach the bordered even block of a whole-space factor.
     extents = ((0.0, 1.5), (-1.0, 1.0))[: len(cells)]
     mesh = build_mesh(MeshSpec(extents=extents, cells_per_axis=cells))
     for strengths in STRENGTHS.values():
@@ -468,6 +472,37 @@ def test_check_psd_matches_dense_oracle(extension, shape, cells):
         scale = max(1.0, float(np.abs(eigs).max()))
         assert abs(report.min_eigenvalue - eigs.min()) <= 1e-12 * scale
         assert report.is_psd == bool(eigs.min() >= -1e-12 * scale)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 65])
+def test_toeplitz_eigvalsh_matches_dense_eigensolve(m):
+    # The even/odd split of a random symmetric Toeplitz matrix keeps every
+    # eigenvalue, each block's and the bordered middle row's, to round-off.
+    half = RNG.normal(size=m)
+    factor = np.concatenate((half[:0:-1], half))
+    dense = toeplitz_eigenvalues(factor)
+    split = np.sort(_toeplitz_eigvalsh(factor))
+    scale = max(1.0, float(np.abs(dense).max()))
+    assert split.shape == (m,)
+    assert np.abs(split - dense).max() <= 1e-12 * scale
+
+
+def test_whole_space_check_psd_forms_no_dense_factor_matrix():
+    # A dense 1024^2 factor matrix is 8 MiB, 16 MiB with the index array
+    # that gathers it; the two half-size blocks and their eigensolves peak
+    # near 2.1 MiB. The bound, half the dense matrix, fails any check that
+    # forms it.
+    m = 1024
+    mesh = build_mesh(MeshSpec(extents=((-4.0, 4.0),), cells_per_axis=(m,)))
+    kernel = discretize(single_species(Gaussian(eps=0.1), extension=Extension.WHOLE_SPACE), mesh)
+    tracemalloc.start()
+    try:
+        report = check_psd(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_psd
+    assert peak < 0.5 * m * m * 8
 
 
 def test_quadratic_form_matches_brute_force():
