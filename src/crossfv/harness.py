@@ -127,8 +127,7 @@ class ExperimentConfig:
             if n_steps and round(steps) > n_steps:
                 raise ConfigurationError(f"snapshot time {t} is after t_end {self.scheme.t_end}")
         if self.kernel.extension is Extension.PERIODIC_WRAP:
-            # Caps the image sums of the periodized kernel at 1723 images per
-            # axis (Gaussian) or 203 (top-hat); a wider kernel is nearly flat.
+            # Caps image sums per axis at 1723 (Gaussian) or 203 (top-hat); wider is nearly flat.
             key = "eps" if isinstance(self.kernel.shape, Gaussian) else "radius"
             width = getattr(self.kernel.shape, key)
             for axis, (lo, hi) in enumerate(self.mesh.extents):

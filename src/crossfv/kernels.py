@@ -26,7 +26,7 @@ import numpy as np
 import numpy.fft
 import numpy.polynomial
 
-from .errors import ConfigurationError, UsageError, _integer, _real
+from .errors import ConfigurationError, UsageError, _real
 from .mesh import Mesh
 
 
@@ -35,15 +35,12 @@ class Gaussian:
     """exp(-|z|^2 / (2 eps^2)) / sqrt(2 pi eps^2), scaled by the pair strength."""
 
     eps: float
-    quadrature_order: int = 4  # Gauss-Legendre nodes per cell and axis of the cell-pair averages
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _real(self.eps, "kernel.eps"))
-        order = _integer(self.quadrature_order, "kernel.quadrature_order", minimum=1)
-        object.__setattr__(self, "quadrature_order", order)
         if not np.isfinite(self.eps) or self.eps <= 0:
             raise ConfigurationError(f"Gaussian width must be positive, got {self.eps}")
-        # The exponent divides by eps**2: below about 7.5e-155, 1/eps**2 overflows,
+        # The normalization squares eps: below about 7.5e-155, 1/eps**2 overflows,
         # and above about 1.3e154 eps**2 itself does.
         eps2 = float(self.eps) * float(self.eps)  # `**` would raise on overflow
         if eps2 == 0.0 or not math.isfinite(1.0 / eps2):
@@ -169,14 +166,13 @@ class DiscreteKernel:
 
 
 def discretize(spec: KernelSpec, mesh: Mesh) -> DiscreteKernel:
-    """Cell-pair-averaged unit-strength kernel via per-axis tensor quadrature.
+    """Cell-pair-averaged unit-strength kernel, one averaged factor per axis.
 
     The double cell average of each built-in shape factorizes per axis, so
     a 1D averaged factor is computed per axis, at all nonnegative offsets in
-    one array pass (exact piecewise integration for top-hat shapes,
-    Gauss-Legendre of the Gaussian's ``quadrature_order`` otherwise), and the
-    offset table is their outer product. Factors are mirrored from
-    nonnegative offsets, making the discrete symmetry exact.
+    one array pass (``_axis_table``), and the offset table is their outer
+    product. Factors are mirrored from nonnegative offsets, making the
+    discrete symmetry exact.
     """
     factors = tuple(_axis_table(spec.shape, mesh, ax, spec.extension) for ax in range(mesh.dim))
     table = spec.shape.normalization * functools.reduce(np.multiply.outer, factors)
@@ -184,62 +180,68 @@ def discretize(spec: KernelSpec, mesh: Mesh) -> DiscreteKernel:
 
 
 def _axis_table(shape, mesh: Mesh, axis: int, extension: Extension) -> np.ndarray:
-    """Per-axis averaged factor over nonnegative offsets, mirrored."""
+    """Per-axis averaged factor over nonnegative offsets, mirrored.
+
+    At offset c, (1/dx^2) int (dx - |t|) w(c + t) dt over the tent |t| <= dx
+    clipped to the band |c + t| <= B (``_band``), summed on the torus over
+    the images within B + dx. Closed-form for the top-hat; for the Gaussian,
+    exact to round-off at any width: 8-node Gauss-Legendre on each side of
+    the kink t = 0, cut in n = ceil(min(dx, 2B) / eps) pieces.
+    """
     m = mesh.shape[axis]
     dx = mesh.dx[axis]
     length = mesh.spec.extents[axis][1] - mesh.spec.extents[axis][0]
     periodic = extension is Extension.PERIODIC_WRAP
     half = m // 2 if periodic else m - 1
     centers = np.arange(half + 1) * dx
+    band = _band(shape)
+    images = _images(band + dx, length) if periodic else np.zeros(1)
+    # Gaussian images whose band covers the tent at every offset share one node set.
+    full = isinstance(shape, Gaussian) & (images - dx >= -band)
+    full &= images + centers[-1] + dx <= band
+    shift = np.add.outer(images[~full], centers)
+    lo = np.maximum(-dx, -band - shift)  # the clipped tent [lo, hi]; lo == hi where it misses
+    hi = np.maximum(np.minimum(dx, band - shift), lo)
 
     if isinstance(shape, TopHat):
-        if periodic:
-            # Image sum: exact for any support radius.
-            n_img = max(1, int(np.ceil((shape.radius + dx) / length)))
-            images = np.arange(-n_img, n_img + 1) * length
-        else:
-            images = np.zeros(1)
-        pos = sum(_tophat_axis_average(centers + img, shape.radius, dx) for img in images)
+        def antiderivative(t):  # of the tent, across its kink too
+            return dx * t - np.sign(t) * t * t / 2.0
+        pos = ((antiderivative(hi) - antiderivative(lo)) / (dx * dx)).sum(axis=0)
     else:
-        nodes, wts = np.polynomial.legendre.leggauss(shape.quadrature_order)
-        nodes = 0.5 * dx * (nodes + 1.0)
-        wts = 0.5 * dx * wts
-        # One row of (quadrature order)^2 node differences per offset.
-        z = np.add.outer(centers, np.subtract.outer(nodes, nodes).ravel())
-        if periodic:
-            z -= length * np.round(z / length)
-            # Image sum to full double accuracy: terms beyond
-            # |m| > 8.6 eps / L are below 2^-53 relative to the peak.
-            images = _gaussian_images(shape.eps, length)
-        else:
-            images = np.zeros(1)
-        inv_eps2 = 1.0 / (2.0 * shape.eps**2)
-        acc = sum(np.exp(-np.square(z + img) * inv_eps2) for img in images)
-        pos = (np.multiply.outer(wts, wts).ravel() * acc).sum(axis=1) / (dx * dx)
+        x, w = np.polynomial.legendre.leggauss(8)
+        n = math.ceil(min(dx, 2.0 * band) / shape.eps)
+        frac = ((np.arange(n)[:, None] + 0.5 * (x + 1.0)) / n).ravel()
+        wfrac = np.tile(0.5 * w / n, n)
+
+        def nodes(lo, kink, hi) -> tuple:  # of [lo, kink] and [kink, hi], tent-weighted weights
+            a, b = np.stack((lo, kink), -1)[..., None], np.stack((kink, hi), -1)[..., None]
+            t = a + (b - a) * frac
+            flat = (*t.shape[:-2], 2 * frac.size)
+            return t.reshape(flat), ((b - a) * wfrac * (dx - np.abs(t))).reshape(flat)
+
+        t, wt = nodes(-dx, 0.0, dx)
+        scaled = np.add.outer(centers, t) / shape.eps
+        shared = sum(np.exp(-0.5 * np.square(scaled + s / shape.eps)) for s in images[full]) * wt
+        live = hi > lo
+        shift, lo, hi = shift[live], lo[live], hi[live]
+        t, wt = nodes(lo, np.clip(0.0, lo, hi), hi)
+        clipped = (wt * np.exp(-0.5 * np.square((shift[:, None] + t) / shape.eps))).sum(axis=-1)
+        pos = (shared.sum(axis=-1) + np.bincount(live.nonzero()[1], clipped, half + 1)) / (dx * dx)
 
     if periodic:
         return np.concatenate((pos, pos[1 : m - half][::-1]))
     return np.concatenate((pos[:0:-1], pos))
 
 
-def _gaussian_images(eps: float, length: float) -> np.ndarray:
-    n_img = max(1, int(np.ceil(8.6 * eps / length)) + 1)
+def _band(shape) -> float:
+    """Half-width B beyond which w is 0 (top-hat) or below 2^-53 of its peak (Gaussian)."""
+    return shape.radius if isinstance(shape, TopHat) else 8.6 * shape.eps
+
+
+def _images(reach: float, length: float) -> np.ndarray:
+    """Shifts k*L of the periodic images that come within ``reach`` of [0, L/2]."""
+    n_img = math.ceil(reach / length)
     return np.arange(-n_img, n_img + 1) * length
-
-
-def _tophat_axis_average(c: np.ndarray, radius: float, dx: float) -> np.ndarray:
-    """Exact (1/dx^2) * int over two cells of 1{|c + x - y| <= R}, at every offset c.
-
-    Reduces to integrating the tent (dx - |t|) over the band |c + t| <= R;
-    where the band misses the tent, hi is clamped to lo and the integral is 0.
-    """
-    lo = np.maximum(-dx, -radius - c)
-    hi = np.maximum(np.minimum(dx, radius - c), lo)
-
-    def tent_antideriv(t: np.ndarray) -> np.ndarray:
-        return dx * t - np.sign(t) * t * t / 2.0
-
-    return (tent_antideriv(hi) - tent_antideriv(lo)) / (dx * dx)
 
 
 def _embed_circulant(w: np.ndarray, shape: tuple) -> np.ndarray:
@@ -334,12 +336,10 @@ def sup_norm(shape, extension: Extension, mesh: Mesh) -> float:
         return norm
     if isinstance(shape, Gaussian):
         # Periodized Gaussian peaks at 0: product over axes of image sums.
-        peak = 1.0
-        for axis in range(mesh.dim):
-            a, b = mesh.spec.extents[axis]
-            images = _gaussian_images(shape.eps, b - a)
-            peak *= float(np.sum(np.exp(-images * images / (2.0 * shape.eps**2))))
-        return norm * peak
+        for a, b in mesh.spec.extents:
+            images = _images(_band(shape), b - a)
+            norm *= float(np.sum(np.exp(-0.5 * np.square(images / shape.eps))))
+        return norm
     # On an axis of length L the images of [-R, R] overlap ceil(2R/L)-fold on
     # a set of positive measure, and more only on a null set.
     count = 1.0

@@ -10,8 +10,10 @@ the package's FFT path. The pair (i, j) table is ``alpha_ij * kernel.table``;
 as one dense matrix; they are the brute-force references for the
 potentials and for ``check_psd``; ``toeplitz_eigenvalues`` is the dense
 eigensolve of one whole-space factor matrix. ``axis_table`` builds a
-kernel's per-axis factor one offset at a time, the reference for
-``discretize``.
+kernel's per-axis factor one offset and one image at a time, the reference
+for ``discretize``'s array pass; ``gaussian_tent_average`` is the exact
+cell-pair average of the Gaussian, in 40-digit arithmetic, the reference
+for the rule itself.
 
 Weights: ``eval_B`` evaluates a weight B(s) itself on finite s >= 0, as the
 package's scaled weight kappa * B(s / kappa) at kappa = 1; the weight
@@ -46,6 +48,7 @@ a dense least-squares solve, the reference for ``scheme._Anderson``.
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 
@@ -54,7 +57,7 @@ from crossfv import (
     linsolve, productions, solve_linear,
 )
 from crossfv.diagnostics import _rao, _verdicts, build_report
-from crossfv.kernels import TopHat, _fft_apply, _gaussian_images, _spectrum
+from crossfv.kernels import TopHat, _fft_apply, _spectrum
 from crossfv.mesh import axis_difference
 from crossfv.scheme import _START_ORDER, coupled, picard_start
 from crossfv.weights import eval_B_kappa
@@ -177,42 +180,58 @@ def toeplitz_eigenvalues(factor) -> np.ndarray:
 
 
 def axis_table(shape, mesh, axis, extension) -> np.ndarray:
-    """Oracle for the axis factors of ``discretize``, one offset at a time."""
+    """Oracle for the axis factors of ``discretize``, one offset and one image at a time.
+
+    The tent (dx - |t|), |t| <= dx, is clipped to the band |c + t| <= B (B =
+    R, or 8.6 eps for the Gaussian) and, on the torus, summed over the
+    images within B + dx. A Gaussian image whose band covers the tent at
+    every offset is sampled on the fixed nodes of [-dx, 0] and [0, dx]; any
+    other is sampled on its clipped sides, split at t = 0.
+    """
     m = mesh.shape[axis]
     dx = mesh.dx[axis]
     length = mesh.spec.extents[axis][1] - mesh.spec.extents[axis][0]
     periodic = Extension(extension) is Extension.PERIODIC_WRAP
+    half = m // 2 if periodic else m - 1
+    band = shape.radius if isinstance(shape, TopHat) else 8.6 * shape.eps
+    n_img = max(1, int(np.ceil((band + dx) / length))) if periodic else 0
+    images = np.arange(-n_img, n_img + 1) * length
 
     if isinstance(shape, TopHat):
-        if periodic:
-            n_img = max(1, int(np.ceil((shape.radius + dx) / length)))
-            images = np.arange(-n_img, n_img + 1) * length
-        else:
-            images = np.zeros(1)
 
         def avg(c: float) -> float:
             return sum(_tophat_average(c + img, shape.radius, dx) for img in images)
 
     else:
-        nodes, wts = np.polynomial.legendre.leggauss(shape.quadrature_order)
-        nodes = 0.5 * dx * (nodes + 1.0)
-        wts = 0.5 * dx * wts
-        diff = np.subtract.outer(nodes, nodes)
-        wmat = np.multiply.outer(wts, wts)
-        inv_eps2 = 1.0 / (2.0 * shape.eps**2)
-        images = _gaussian_images(shape.eps, length) if periodic else np.zeros(1)
+        eps = shape.eps
+        x, w = np.polynomial.legendre.leggauss(8)
+        n = int(np.ceil(min(dx, 2.0 * band) / eps))
+        frac = ((np.arange(n)[:, None] + 0.5 * (x + 1.0)) / n).ravel()
+        wfrac = np.tile(0.5 * w / n, n)
+
+        def sides(lo: float, kink: float, hi: float) -> tuple:
+            t, wt = [], []
+            for a, b in ((lo, kink), (kink, hi)):
+                t.append(a + (b - a) * frac)
+                wt.append((b - a) * wfrac * (dx - np.abs(t[-1])))
+            return np.concatenate(t), np.concatenate(wt)
+
+        t_full, w_full = sides(-dx, 0.0, dx)
 
         def avg(c: float) -> float:
-            z = c + diff
-            if periodic:
-                z = z - length * np.round(z / length)
-            acc = np.zeros_like(z)
+            acc, clipped = 0.0, 0.0
             for img in images:
-                zz = z + img
-                acc += np.exp(-zz * zz * inv_eps2)
-            return float(np.sum(wmat * acc)) / (dx * dx)
+                if img - dx >= -band and img + half * dx + dx <= band:
+                    acc = acc + np.exp(-0.5 * np.square((c + t_full) / eps + img / eps))
+                    continue
+                shift = c + img
+                lo = max(-dx, -band - shift)
+                hi = max(min(dx, band - shift), lo)
+                if hi > lo:
+                    t, wt = sides(lo, min(max(0.0, lo), hi), hi)
+                    clipped += np.sum(wt * np.exp(-0.5 * np.square((shift + t) / eps)))
+            return (np.sum(acc * w_full) + clipped) / (dx * dx)
 
-    half = m // 2 if periodic else m - 1
     pos = np.array([avg(delta * dx) for delta in range(half + 1)])
     if periodic:
         out = np.empty(m)
@@ -224,6 +243,34 @@ def axis_table(shape, mesh, axis, extension) -> np.ndarray:
         out[m - 1 :] = pos
         out[: m - 1] = pos[1:][::-1]
     return out
+
+
+def gaussian_tent_average(offset: float, eps: float, dx: float, length=None) -> float:
+    """(1/dx^2) * int_{-dx}^{dx} (dx - |t|) w(offset + t) dt for the unit Gaussian factor.
+
+    The factor is exp(-z^2 / (2 eps^2)), without its normalization, the
+    entry of ``discretize``'s axis factor at that offset. Each side of the
+    tent is integrated in closed form by erf in 40-digit arithmetic; with a
+    ``length`` the images offset + k * length are summed until they are
+    below 1e-30 of the peak.
+    """
+    with mpmath.workdps(40):
+        c, eps, dx = mpmath.mpf(offset), mpmath.mpf(eps), mpmath.mpf(dx)
+        root2 = mpmath.sqrt(2) * eps
+
+        def primitive(z, a, b):
+            """An antiderivative of (a + b z) exp(-z^2 / (2 eps^2)) in z."""
+            return (a * eps * mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(z / root2)
+                    - b * eps**2 * mpmath.exp(-((z / root2) ** 2)))
+
+        reach = 0 if length is None else int(mpmath.ceil((12 * eps + dx) / length)) + 1
+        total = mpmath.mpf(0)
+        for k in range(-reach, reach + 1):
+            s = c + k * mpmath.mpf(0 if length is None else length)
+            # With z = s + t the tent weight is dx - s + z on t <= 0 and dx + s - z on t >= 0.
+            total += primitive(s, dx - s, 1) - primitive(s - dx, dx - s, 1)
+            total += primitive(s + dx, dx + s, -1) - primitive(s, dx + s, -1)
+        return float(total / dx**2)
 
 
 def _tophat_average(c: float, radius: float, dx: float) -> float:

@@ -8,6 +8,7 @@ from oracles import (
     dense_form_eigenvalues,
     direct_convolve,
     direct_potentials,
+    gaussian_tent_average,
     kernel_value,
     pair_table,
     quadratic_form,
@@ -97,33 +98,14 @@ def test_tophat_exact_against_band_area_oracle():
         assert pair_table(kernel, 0, 0)[delta] == pytest.approx(norm * expected, rel=1e-14)
 
 
-def test_gaussian_quadrature_matches_higher_order():
-    # Default-order tables agree with the order q+4 oracle, and the gap
-    # collapses fast under refinement (high-order quadrature on smooth data).
-    def gap(m):
-        mesh = build_mesh(MeshSpec(extents=((-2.0, 2.0),), cells_per_axis=(m,)))
-        tables = []
-        for q in (4, 8):
-            shape = Gaussian(eps=0.7, quadrature_order=q)
-            spec = single_species(shape, extension=Extension.WHOLE_SPACE)
-            tables.append(pair_table(discretize(spec, mesh), 0, 0))
-        return np.max(np.abs(tables[0] - tables[1])) / np.max(np.abs(tables[1]))
-
-    g16, g32 = gap(16), gap(32)
-    assert g32 <= 5e-13
-    assert g16 / g32 >= 50
-
-
 def test_gaussian_cell_average_is_second_order_in_h():
     # |w[delta] - W(x_K - x_J)| = O(h^2): the max error drops 4x per refinement.
     eps = 0.5
 
     def max_midpoint_error(m):
         mesh = build_mesh(MeshSpec(extents=((0.0, 1.0),), cells_per_axis=(m,)))
-        kernel = discretize(
-            single_species(Gaussian(eps=eps, quadrature_order=6), extension=Extension.WHOLE_SPACE),
-            mesh,
-        )
+        spec = single_species(Gaussian(eps=eps), extension=Extension.WHOLE_SPACE)
+        kernel = discretize(spec, mesh)
         table = pair_table(kernel, 0, 0)
         deltas = np.arange(-(m - 1), m) * mesh.dx[0]
         exact = np.exp(-(deltas**2) / (2 * eps**2)) / np.sqrt(2 * np.pi * eps**2)
@@ -142,13 +124,34 @@ def test_row_sum_matches_torus_integral_tophat():
 
 def test_row_sum_matches_torus_integral_gaussian():
     # The image-summed periodized Gaussian integrates over one period to the
-    # whole-line integral, i.e. the strength itself. The width is small enough
-    # that quadrature resolves the profile.
-    eps, alpha = 0.06, 1.5
-    mesh = unit_mesh(64)
-    kernel = discretize(single_species(Gaussian(eps=eps, quadrature_order=8), strength=alpha), mesh)
-    row = mesh.cell_measure * pair_table(kernel, 0, 0).sum()
-    assert row == pytest.approx(alpha, rel=1e-11)
+    # whole-line integral, i.e. the strength itself, at every width: far
+    # narrower than a cell, about one cell, and wider than the torus.
+    alpha = 1.5
+    for m in (2, 16, 64):
+        mesh = unit_mesh(m)
+        for ratio in (1e-150, 0.05, 0.2, 1.0, 100.0):
+            kernel = discretize(single_species(Gaussian(eps=ratio / m), strength=alpha), mesh)
+            row = mesh.cell_measure * pair_table(kernel, 0, 0).sum()
+            assert abs(row - alpha) <= 1e-14 * alpha, (m, ratio, row)
+
+
+@pytest.mark.parametrize("extension", list(Extension), ids=lambda e: e.value)
+@pytest.mark.parametrize("ratio", [0.05, 0.2, 1.0, 32.0])
+def test_gaussian_axis_factor_matches_exact_tent_integral(ratio, extension):
+    # Every offset of the averaged factor is the exact tent integral of the
+    # Gaussian to within 1e-14 of its peak, whatever eps / dx is.
+    m = 64
+    mesh = unit_mesh(m)
+    dx = mesh.dx[0]
+    kernel = discretize(single_species(Gaussian(eps=ratio * dx), extension=extension), mesh)
+    factor = kernel.axis_factors[0]
+    periodic = extension is Extension.PERIODIC_WRAP
+    zero = 0 if periodic else m - 1
+    exact = np.array([
+        gaussian_tent_average(delta * dx, ratio * dx, dx, 1.0 if periodic else None)
+        for delta in range(8)
+    ])
+    assert np.max(np.abs(factor[zero : zero + 8] - exact)) <= 1e-14 * exact.max()
 
 
 def test_discrete_symmetry_exact():
